@@ -66,22 +66,25 @@ def band_energies(spectrum: np.ndarray) -> np.ndarray:
     return BAND_WEIGHTS @ power
 
 
-def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray) -> np.ndarray:
+def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray, return_energies: bool = False):
     """Normalized per-band correlation between a spectrum and its pitch-delayed twin.
 
     Real part of the cross-spectrum, band-weighted, normalized by the
-    geometric mean of the two band energies; clamped to [-1, 1].
+    geometric mean of the two band energies; clamped to [-1, 1]. The band
+    energies of both spectra and the band cross-power come from one
+    (22, 481) @ (481, 3) product; return_energies=True also returns the
+    band energies of `spectrum` as a second value.
     """
     spectrum = np.asarray(spectrum)
     pitch_spectrum = np.asarray(pitch_spectrum)
     if spectrum.shape != (NUM_BINS,) or pitch_spectrum.shape != (NUM_BINS,):
         raise ValueError("band_correlation expects two half spectra of matching length")
-    cross = spectrum.real * pitch_spectrum.real + spectrum.imag * pitch_spectrum.imag
-    num = BAND_WEIGHTS @ cross
-    ex = band_energies(spectrum)
-    ep = band_energies(pitch_spectrum)
-    corr = num / np.sqrt(ex * ep + 1e-15)
-    return np.clip(corr, -1.0, 1.0)
+    xr, xi = spectrum.real, spectrum.imag
+    pr, pi = pitch_spectrum.real, pitch_spectrum.imag
+    powers = np.stack((xr**2 + xi**2, pr**2 + pi**2, xr * pr + xi * pi), axis=1)
+    ex, ep, num = (BAND_WEIGHTS @ powers).T
+    corr = (num / np.sqrt(ex * ep + 1e-15)).clip(-1.0, 1.0)
+    return (corr, ex) if return_energies else corr
 
 
 def compute_irm(clean_spectrum: np.ndarray, noisy_spectrum: np.ndarray) -> np.ndarray:
@@ -92,7 +95,7 @@ def compute_irm(clean_spectrum: np.ndarray, noisy_spectrum: np.ndarray) -> np.nd
     """
     ec = band_energies(clean_spectrum)
     en = band_energies(noisy_spectrum)
-    mask = np.clip(ec / np.maximum(en, ENERGY_FLOOR), 0.0, 1.0)
+    mask = (ec / np.maximum(en, ENERGY_FLOOR)).clip(0.0, 1.0)
     mask[en < ENERGY_FLOOR] = MASK_SENTINEL
     return mask
 
@@ -111,7 +114,7 @@ def interpolate_gains(mask: np.ndarray) -> np.ndarray:
     if np.any(mask < 0.0):
         raise ValueError("mask contains negative values; replace sentinels before interpolation")
     gains = np.sqrt(mask) @ BAND_WEIGHTS
-    return np.clip(gains, 0.0, 1.0)
+    return gains.clip(0.0, 1.0)
 
 
 def apply_gains(spectrum: np.ndarray, gains: np.ndarray) -> np.ndarray:

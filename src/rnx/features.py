@@ -93,34 +93,44 @@ def nonstationarity(history: FeatureHistory, energies: np.ndarray) -> float:
     return float(np.mean(flux))
 
 
-def spectral_centroid(spectrum: np.ndarray) -> float:
-    """Power-weighted mean bin index, in bin units."""
-    power = np.abs(np.asarray(spectrum)) ** 2
-    k = np.arange(power.shape[0])
-    return float((k * power).sum() / (power.sum() + _EPS))
+def spectral_shape(
+    spectrum: np.ndarray, centroid: float | None = None, threshold: float = ROLLOFF_THRESHOLD
+) -> np.ndarray:
+    """Raw (centroid, bandwidth, roll-off) of a spectrum, from one bin power.
 
-
-def spectral_bandwidth(spectrum: np.ndarray, centroid: float) -> float:
-    """Power-weighted spread around the centroid, in bin units."""
-    power = np.abs(np.asarray(spectrum)) ** 2
-    k = np.arange(power.shape[0])
-    return float(np.sqrt(((k - centroid) ** 2 * power).sum() / (power.sum() + _EPS)))
-
-
-def spectral_rolloff(spectrum: np.ndarray, threshold: float = ROLLOFF_THRESHOLD) -> int:
-    """Largest bin h with cumulative power below threshold * total power.
-
-    Zero-energy frames roll off at 0; a single occupied bin k rolls off at
-    k - 1 (the cumulative sum first meets the total at k itself).
+    Centroid is the power-weighted mean bin index and bandwidth the
+    power-weighted spread around `centroid` (default: that mean), both in
+    bin units. Roll-off is the largest bin h with cumulative power below
+    threshold * total power: zero-energy frames roll off at 0, and a single
+    occupied bin k rolls off at k - 1 (the cumulative sum first meets the
+    total at k itself).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1)")
     power = np.abs(np.asarray(spectrum)) ** 2
+    k = np.arange(power.shape[0])
     total = power.sum()
-    if total <= 0.0:
-        return 0
-    below = int((np.cumsum(power) < threshold * total).sum())
-    return max(below - 1, 0)
+    mean = (k * power).sum() / (total + _EPS)
+    if centroid is None:
+        centroid = mean
+    bandwidth = np.sqrt(((k - centroid) ** 2 * power).sum() / (total + _EPS))
+    rolloff = max(int((np.cumsum(power) < threshold * total).sum()) - 1, 0) if total > 0.0 else 0
+    return np.array((mean, bandwidth, rolloff), dtype=np.float64)
+
+
+def spectral_centroid(spectrum: np.ndarray) -> float:
+    """Power-weighted mean bin index, in bin units."""
+    return float(spectral_shape(spectrum)[0])
+
+
+def spectral_bandwidth(spectrum: np.ndarray, centroid: float) -> float:
+    """Power-weighted spread around the centroid, in bin units."""
+    return float(spectral_shape(spectrum, centroid)[1])
+
+
+def spectral_rolloff(spectrum: np.ndarray, threshold: float = ROLLOFF_THRESHOLD) -> int:
+    """Largest bin h with cumulative power below threshold * total power."""
+    return int(spectral_shape(spectrum, threshold=threshold)[2])
 
 
 def rms(frame: np.ndarray) -> float:
@@ -214,21 +224,15 @@ class FeatureExtractor:
         self.history = FeatureHistory()
 
     def process(self, frame: np.ndarray) -> FrameAnalysis:
-        spectrum = dsp.analyze_frame(frame)
+        # estimate_pitch rejects a bad frame before it changes any state
         period, strength = pitch_mod.estimate_pitch(self.pitch_state, frame)
         delayed = pitch_mod.pitch_delayed_frame(self.pitch_state, period)
-        pitch_spectrum = dsp.analyze_frame(delayed)
-        corr = bands.band_correlation(spectrum, pitch_spectrum)
+        spectrum, pitch_spectrum = dsp.analyze_frame(np.stack((frame, delayed)))
+        corr, energies = bands.band_correlation(spectrum, pitch_spectrum, return_energies=True)
 
-        energies = bands.band_energies(spectrum)
         cepstrum = bfcc(energies)
         derivs = bfcc_derivatives(self.history, cepstrum)
         flux = nonstationarity(self.history, energies)
-        centroid = spectral_centroid(spectrum)
-        trio = np.array(
-            (centroid, spectral_bandwidth(spectrum, centroid), spectral_rolloff(spectrum)),
-            dtype=np.float64,
-        )
         base = assemble_features("reference", cepstrum, derivs, pitch_dct_features(corr), period, flux)
         self.history.update(cepstrum, log_band_energies(energies))
         return FrameAnalysis(
@@ -239,5 +243,5 @@ class FeatureExtractor:
             period=period,
             pitch_strength=strength,
             features=base,
-            extended_raw=trio,
+            extended_raw=spectral_shape(spectrum),
         )

@@ -167,10 +167,9 @@ def gru_step(layer: LayerParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         raise ValueError(f"layer {layer.name}: step dims mismatch")
     u = layer.out_dim
     gates_x = x @ layer.weights.T + layer.bias
-    uz, ur, uc = layer.recurrent[:u], layer.recurrent[u : 2 * u], layer.recurrent[2 * u :]
-    z = expit(gates_x[..., :u] + h @ uz.T)
-    r = expit(gates_x[..., u : 2 * u] + h @ ur.T)
-    c = _activation(layer.activation)(gates_x[..., 2 * u :] + (r * h) @ uc.T)
+    zr = expit(gates_x[..., : 2 * u] + h @ layer.recurrent[: 2 * u].T)
+    z, r = zr[..., :u], zr[..., u:]
+    c = _activation(layer.activation)(gates_x[..., 2 * u :] + (r * h) @ layer.recurrent[2 * u :].T)
     return z * h + (1.0 - z) * c
 
 
@@ -268,20 +267,21 @@ def save_model(model: NetworkModel, path) -> None:
                 layer.in_dim, layer.out_dim,
             )
         )
-        blob.append(np.ascontiguousarray(layer.weights, dtype="<f4").tobytes())
+        blob.append(np.ascontiguousarray(layer.weights, dtype="<f4"))
         if layer.recurrent is not None:
-            blob.append(np.ascontiguousarray(layer.recurrent, dtype="<f4").tobytes())
-        blob.append(np.ascontiguousarray(layer.bias, dtype="<f4").tobytes())
+            blob.append(np.ascontiguousarray(layer.recurrent, dtype="<f4"))
+        blob.append(np.ascontiguousarray(layer.bias, dtype="<f4"))
+    # the arrays go to the file as they are: no per-array or whole-file copy
     with open(path, "wb") as fh:
-        fh.write(b"".join(blob))
+        fh.writelines(blob)
 
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)  # slices are views, not copies
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ModelFormatError("truncated model file")
         out = self.data[self.pos : self.pos + n]
@@ -312,7 +312,7 @@ def load_model(path) -> NetworkModel:
     layers = []
     for _ in range(layer_count):
         (name_len,) = r.unpack("<B")
-        name = r.take(name_len).decode()
+        name = bytes(r.take(name_len)).decode()
         kind_code, act_code, in_dim, out_dim = r.unpack("<BBII")
         if kind_code not in _KIND_NAMES or act_code not in _ACT_NAMES:
             raise ModelFormatError(f"layer {name}: unknown kind/activation code")

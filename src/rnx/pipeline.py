@@ -33,7 +33,6 @@ class DenoiserState:
     extractor: FeatureExtractor
     carry: np.ndarray  # synthesis overlap tail
     pending: np.ndarray  # previous input hop
-    frame_index: int = 0
 
 
 @dataclass
@@ -80,10 +79,10 @@ def process_hop(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (dsp.HOP,):
         raise ValueError(f"expected a hop of {dsp.HOP} samples, got shape {samples.shape}")
-    frame = np.concatenate((state.pending, samples))
+    # the extractor rejects a non-finite frame before it changes any state,
+    # so a rejected hop leaves no trace
+    analysis = state.extractor.process(np.concatenate((state.pending, samples)))
     state.pending = samples.copy()
-
-    analysis = state.extractor.process(frame)
     spectrum = analysis.spectrum
     if not bypass_pitch:
         spectrum = comb_filter(spectrum, analysis.pitch_spectrum, analysis.band_corr)
@@ -106,7 +105,6 @@ def process_hop(
 
     out_spec = bands.apply_gains(spectrum, bands.interpolate_gains(mask))
     out, state.carry = dsp.synthesize_frame(out_spec, state.carry)
-    state.frame_index += 1
     return HopResult(out, vad, mask, analysis.period, analysis.pitch_strength)
 
 

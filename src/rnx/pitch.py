@@ -5,6 +5,14 @@ plus 800 extra samples so every candidate lag in [60, 800] has a full
 delayed window to correlate against. Voiced frames then get a comb filter
 that averages the spectrum with its pitch-delayed twin, weighted per band
 by how coherent the two actually are.
+
+All 741 lag correlations come from one circular cross-correlation of the
+history with the current frame, through real FFTs of the history length
+(1760). The circular correlation at offset j sums
+history[(j + i) mod 1760] * frame[i] over the 960 frame samples. Lag T
+reads offset j = 800 - T, and for every j <= 800 the last index
+j + 959 <= 1759 stays inside the history, so no term wraps: each value
+is the linear correlation, with no zero padding beyond the frame's.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from rnx.bands import BAND_WEIGHTS, NUM_BANDS
 from rnx.dsp import FRAME_LEN, HOP, NUM_BINS
@@ -26,6 +33,28 @@ HISTORY_LEN = FRAME_LEN + PITCH_MAX_PERIOD
 SUBHARMONIC_RATIO = 0.9
 SILENCE_FLOOR = 1e-10
 
+_LAGS = np.arange(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1)
+_LAGS.setflags(write=False)
+_STARTS = PITCH_MAX_PERIOD - _LAGS  # where the window delayed by each lag starts
+
+
+def _subharmonic_windows() -> np.ndarray:
+    """Indices into r of the windows _prefer_subharmonics scans.
+
+    Entry [b - 60, k - 2] is the +/-2 window around round(b / k) (halves
+    to even), clipped to [60, 800], for raw peak b and divisor k. Only the
+    first b // 60 - 1 windows of row b - 60 are scanned (k <= b // 60).
+    """
+    best = _LAGS[:, None]
+    ks = np.arange(2, PITCH_MAX_PERIOD // PITCH_MIN_PERIOD + 1)
+    centers = np.round(best / ks).astype(np.int64)
+    windows = np.clip(centers[..., None] + np.arange(-2, 3), PITCH_MIN_PERIOD, PITCH_MAX_PERIOD)
+    return windows - PITCH_MIN_PERIOD
+
+
+_SUBHARMONIC_WINDOWS = _subharmonic_windows()
+_SUBHARMONIC_WINDOWS.setflags(write=False)
+
 
 @dataclass
 class PitchState:
@@ -33,7 +62,6 @@ class PitchState:
 
     history: np.ndarray = field(default_factory=lambda: np.zeros(HISTORY_LEN))
     last_period: int = 480
-    last_corr: float = 0.0
 
 
 def _normalized_lag_correlations(history: np.ndarray):
@@ -44,16 +72,15 @@ def _normalized_lag_correlations(history: np.ndarray):
     """
     frame = history[PITCH_MAX_PERIOD:]
     e_frame = float(frame @ frame)
-    # valid-mode correlation: out[j] = sum_i history[j+i] * frame[i],
-    # so lag T corresponds to j = 800 - T
-    num_by_j = scipy.signal.correlate(history, frame, mode="valid", method="auto")
+    # num_by_j[j] = sum_i history[j+i] * frame[i]; lag T is j = 800 - T
+    # (nothing wraps for these j, see the module docstring)
+    cross = np.fft.rfft(history) * np.conj(np.fft.rfft(frame, HISTORY_LEN))
+    num_by_j = np.fft.irfft(cross, HISTORY_LEN)
     sq = np.concatenate(([0.0], np.cumsum(history * history)))
-    lags = np.arange(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1)
-    starts = PITCH_MAX_PERIOD - lags
-    e_delayed = sq[starts + FRAME_LEN] - sq[starts]
-    num = num_by_j[starts]
+    e_delayed = sq[_STARTS + FRAME_LEN] - sq[_STARTS]
+    num = num_by_j[_STARTS]
     r = num / np.sqrt(e_frame * e_delayed + 1e-15)
-    return lags, r
+    return _LAGS, r
 
 
 def _prefer_subharmonics(lags: np.ndarray, r: np.ndarray, best_lag: int) -> int:
@@ -61,22 +88,19 @@ def _prefer_subharmonics(lags: np.ndarray, r: np.ndarray, best_lag: int) -> int:
 
     The raw argmax often lands on a multiple of the true period (the
     correlation is just as high there). Scan candidate divisors best/k for
-    k = 2, 3, ..., refine each within +/-2 samples, and accept the smallest
-    period whose correlation reaches SUBHARMONIC_RATIO of the peak.
+    k = 2, 3, ..., refine each within +/-2 samples (clipped to [60, 800],
+    first maximum wins), and accept the smallest period whose correlation
+    reaches SUBHARMONIC_RATIO of the peak: the candidate of the largest
+    passing k.
     """
     peak = r[best_lag - PITCH_MIN_PERIOD]
-    chosen = best_lag
-    for k in range(2, best_lag // PITCH_MIN_PERIOD + 1):
-        center = int(round(best_lag / k))
-        lo = max(center - 2, PITCH_MIN_PERIOD)
-        hi = min(center + 2, PITCH_MAX_PERIOD)
-        if lo > hi:
-            continue
-        window = r[lo - PITCH_MIN_PERIOD : hi - PITCH_MIN_PERIOD + 1]
-        cand = lo + int(np.argmax(window))
-        if r[cand - PITCH_MIN_PERIOD] >= SUBHARMONIC_RATIO * peak:
-            chosen = cand
-    return chosen
+    windows = _SUBHARMONIC_WINDOWS[best_lag - PITCH_MIN_PERIOD, : best_lag // PITCH_MIN_PERIOD - 1]
+    values = r[windows]
+    passing = np.flatnonzero(values.max(axis=1) >= SUBHARMONIC_RATIO * peak)
+    if passing.size == 0:
+        return best_lag
+    last = passing[-1]
+    return PITCH_MIN_PERIOD + int(windows[last, values[last].argmax()])
 
 
 def estimate_pitch(state: PitchState, frame: np.ndarray):
@@ -90,19 +114,19 @@ def estimate_pitch(state: PitchState, frame: np.ndarray):
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != (FRAME_LEN,):
         raise ValueError(f"expected a frame of {FRAME_LEN} samples, got shape {frame.shape}")
+    if not np.isfinite(frame).all():
+        raise ValueError("non-finite samples in pitch frame")
     state.history = np.concatenate((state.history[HOP:], frame[FRAME_LEN - HOP :]))
 
     current = state.history[PITCH_MAX_PERIOD:]
     if float(current @ current) < SILENCE_FLOOR:
-        state.last_corr = 0.0
         return state.last_period, 0.0
 
     lags, r = _normalized_lag_correlations(state.history)
     best = int(lags[np.argmax(r)])
     best = _prefer_subharmonics(lags, r, best)
-    strength = float(np.clip(r[best - PITCH_MIN_PERIOD], 0.0, 1.0))
+    strength = min(max(float(r[best - PITCH_MIN_PERIOD]), 0.0), 1.0)
     state.last_period = best
-    state.last_corr = strength
     return best, strength
 
 
@@ -129,6 +153,6 @@ def comb_filter(x_spec: np.ndarray, p_spec: np.ndarray, band_corr: np.ndarray) -
         raise ValueError("comb_filter expects two half spectra")
     if band_corr.shape != (NUM_BANDS,):
         raise ValueError(f"expected {NUM_BANDS} band correlations, got shape {band_corr.shape}")
-    alpha_band = np.clip(band_corr, 0.0, 1.0) ** 2
+    alpha_band = band_corr.clip(0.0, 1.0) ** 2
     alpha = alpha_band @ BAND_WEIGHTS
     return (x_spec + alpha * p_spec) / (1.0 + alpha)

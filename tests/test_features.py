@@ -5,6 +5,7 @@ import pytest
 
 import synthetic as syn
 from rnx import bands, dsp
+from rnx.pitch import PitchState, estimate_pitch, pitch_delayed_frame
 from rnx.features import (
     EXTENDED_DIM,
     REFERENCE_DIM,
@@ -311,6 +312,58 @@ def test_extractor_first_two_frames_against_direct_math():
     np.testing.assert_allclose(a2.features[28:34], (c2 - 2 * c1)[:6], atol=1e-12)
     l2 = log_band_energies(a2.band_energies)
     assert abs(a2.features[41] - np.mean(np.abs(l2 - l1))) < 1e-12
+
+
+def test_extractor_equals_composed_helpers():
+    """The extractor's fused path against the public helpers, frame by frame,
+    over voiced, unvoiced and digitally silent stretches."""
+    rng = np.random.default_rng(131)
+    x = np.concatenate(
+        (
+            syn.voiced_segment(rng, 480 * 60),
+            np.zeros(480 * 40),
+            syn.fricative_segment(rng, 480 * 50),
+            syn.voiced_segment(rng, 480 * 30) + 0.05 * syn.fricative_segment(rng, 480 * 30),
+            syn.voiced_segment(rng, 480 * 21),
+        )
+    )
+    frames = [x[k * 480 : k * 480 + 960] for k in range(200)]
+
+    ex = FeatureExtractor()
+    pitch_state = PitchState()
+    history = FeatureHistory()
+    silent = 0
+    for frame in frames:
+        got = ex.process(frame)
+
+        spec = dsp.analyze_frame(frame)
+        period, strength = estimate_pitch(pitch_state, frame)
+        p_spec = dsp.analyze_frame(pitch_delayed_frame(pitch_state, period))
+        corr = bands.band_correlation(spec, p_spec)
+        energies = bands.band_energies(spec)
+        cep = bfcc(energies)
+        want = np.concatenate(
+            (
+                cep,
+                bfcc_derivatives(history, cep),
+                pitch_dct_features(corr),
+                [period / 800.0, nonstationarity(history, energies)],
+            )
+        )
+        history.update(cep, log_band_energies(energies))
+        centroid = spectral_centroid(spec)
+        trio = [centroid, spectral_bandwidth(spec, centroid), spectral_rolloff(spec)]
+
+        assert got.period == period
+        assert got.pitch_strength == strength
+        np.testing.assert_allclose(got.features, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.extended_raw, trio, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.band_corr, corr, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.band_energies, energies, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.spectrum, spec, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.pitch_spectrum, p_spec, rtol=0, atol=1e-12)
+        silent += strength == 0.0
+    assert silent >= 30  # the digital silence reached the pitch fallback
 
 
 def test_extractor_pitch_consistency():

@@ -136,6 +136,52 @@ def test_process_hop_rejects_bad_shape():
         process_hop(state, np.zeros(960))
 
 
+def _stream_snapshot(state):
+    ex = state.extractor
+    return {
+        "pending": state.pending.copy(),
+        "carry": state.carry.copy(),
+        "pitch_history": ex.pitch_state.history.copy(),
+        "last_period": ex.pitch_state.last_period,
+        "bfcc_prev": ex.history.bfcc_prev.copy(),
+        "bfcc_prev2": ex.history.bfcc_prev2.copy(),
+        "log_energy_prev": ex.history.log_energy_prev.copy(),
+        "h_vad": state.hidden.h_vad.copy(),
+        "h_noise": state.hidden.h_noise.copy(),
+        "h_denoise": state.hidden.h_denoise.copy(),
+    }
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_rejected_hop_leaves_no_trace(bad_value):
+    rng = np.random.default_rng(643)
+    x = syn.speech_like(rng, 0.2, pauses=False)
+    blocks = hops_of(x)[:12]
+    model = init_weights(10, EXTENDED_DIM)
+    clean, probed = create_state(model), create_state(model)
+    for block in blocks[:6]:
+        process_hop(clean, block)
+        process_hop(probed, block)
+
+    before = _stream_snapshot(probed)
+    bad = blocks[6].copy()
+    bad[100] = bad_value
+    with pytest.raises(ValueError, match="non-finite"):
+        process_hop(probed, bad)
+    after = _stream_snapshot(probed)
+    assert before.keys() == after.keys()
+    for key in before:
+        np.testing.assert_array_equal(after[key], before[key], err_msg=key)
+
+    # the next good hops come out bitwise as if the bad hop never arrived
+    for block in blocks[6:]:
+        want = process_hop(clean, block)
+        got = process_hop(probed, block)
+        np.testing.assert_array_equal(got.samples, want.samples)
+        np.testing.assert_array_equal(got.mask, want.mask)
+        assert (got.vad, got.period, got.pitch_strength) == (want.vad, want.period, want.pitch_strength)
+
+
 def test_hop_result_fields():
     rng = np.random.default_rng(647)
     x = syn.speech_like(rng, 0.2, pauses=False)

@@ -5,7 +5,12 @@ import synthetic as syn
 from rnx import bands, dsp
 from rnx.pitch import (
     HISTORY_LEN,
+    PITCH_MAX_PERIOD,
+    PITCH_MIN_PERIOD,
+    SUBHARMONIC_RATIO,
     PitchState,
+    _normalized_lag_correlations,
+    _prefer_subharmonics,
     comb_filter,
     estimate_pitch,
     pitch_delayed_frame,
@@ -173,3 +178,71 @@ def test_comb_suppresses_between_harmonics():
     before = np.sum(np.abs(x_spec[inter]) ** 2)
     after = np.sum(np.abs(y_spec[inter]) ** 2)
     assert after < before
+
+
+def _oracle_histories():
+    rng = np.random.default_rng(79)
+    n = HISTORY_LEN
+    silent_start = np.concatenate((np.zeros(PITCH_MAX_PERIOD), syn.speech_like(rng, 0.1, pauses=False)[: n - 800]))
+    return {
+        "tone": syn.tone(180.0, 0.05)[:n],
+        "pulse_train": syn.pulse_train(170, n),
+        "white_noise": rng.normal(size=n) * 0.3,
+        "babble": syn.babble_noise(rng, 0.05)[:n],
+        "silent_start": silent_start,
+    }
+
+
+@pytest.mark.parametrize("name", ["tone", "pulse_train", "white_noise", "babble", "silent_start"])
+def test_lag_correlations_match_brute_force(name):
+    history = _oracle_histories()[name]
+    assert history.shape == (HISTORY_LEN,)
+    lags, r = _normalized_lag_correlations(history)
+    np.testing.assert_array_equal(lags, np.arange(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1))
+    frame = history[PITCH_MAX_PERIOD:]
+    want = []
+    for lag in lags:
+        delayed = history[PITCH_MAX_PERIOD - lag : PITCH_MAX_PERIOD - lag + 960]
+        want.append(np.dot(frame, delayed) / np.sqrt(np.dot(frame, frame) * np.dot(delayed, delayed) + 1e-15))
+    np.testing.assert_allclose(r, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
+
+def _prefer_subharmonics_loop(r, best_lag):
+    """The per-divisor loop the vectorised scan replaced, kept as its oracle."""
+    peak = r[best_lag - PITCH_MIN_PERIOD]
+    chosen = best_lag
+    for k in range(2, best_lag // PITCH_MIN_PERIOD + 1):
+        center = int(round(best_lag / k))
+        lo = max(center - 2, PITCH_MIN_PERIOD)
+        hi = min(center + 2, PITCH_MAX_PERIOD)
+        if lo > hi:
+            continue
+        window = r[lo - PITCH_MIN_PERIOD : hi - PITCH_MIN_PERIOD + 1]
+        cand = lo + int(np.argmax(window))
+        if r[cand - PITCH_MIN_PERIOD] >= SUBHARMONIC_RATIO * peak:
+            chosen = cand
+    return chosen
+
+
+def _peaky_r(rng, period):
+    """Correlation-like curve: peaks at multiples of `period`, coarsely
+    quantized so windows hold ties and several divisors pass at once."""
+    lags = np.arange(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1)
+    phase = (lags % period) / period
+    r = np.maximum(np.cos(2 * np.pi * phase), 0.0) ** 8 - 0.2 * lags / PITCH_MAX_PERIOD
+    r += rng.normal(size=lags.size) * 0.02
+    return np.round(r, 1)
+
+
+def test_subharmonic_scan_matches_loop_on_every_peak():
+    rng = np.random.default_rng(83)
+    lags = np.arange(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1)
+    curves = [rng.uniform(-1.0, 1.0, lags.size) for _ in range(3)]
+    curves += [_peaky_r(rng, period) for period in (61, 97, 120, 240, 333)]
+    moved = 0
+    for r in curves:
+        for best in range(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1):
+            want = _prefer_subharmonics_loop(r, best)
+            assert _prefer_subharmonics(lags, r, best) == want, (best, want)
+            moved += want != best
+    assert moved > 1000  # the scan swapped the peak often enough to mean something
