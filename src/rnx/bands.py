@@ -66,14 +66,15 @@ def band_energies(spectrum: np.ndarray) -> np.ndarray:
     return BAND_WEIGHTS @ power
 
 
-def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray, return_energies: bool = False):
+def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray):
     """Normalized per-band correlation between a spectrum and its pitch-delayed twin.
 
-    Real part of the cross-spectrum, band-weighted, normalized by the
-    geometric mean of the two band energies; clamped to [-1, 1]. The band
-    energies of both spectra and the band cross-power come from one
-    (22, 481) @ (481, 3) product; return_energies=True also returns the
-    band energies of `spectrum` as a second value.
+    Returns (corr, energies). corr is the real part of the cross-spectrum,
+    band-weighted, normalized by the geometric mean of the two band
+    energies and clamped to [-1, 1]. The band energies of both spectra and
+    the band cross-power come from one (22, 481) @ (481, 3) product, so
+    the band energies of `spectrum` (equal to band_energies(spectrum)) come
+    back as well, at no extra cost.
     """
     spectrum = np.asarray(spectrum)
     pitch_spectrum = np.asarray(pitch_spectrum)
@@ -84,7 +85,7 @@ def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray, return_en
     powers = np.stack((xr**2 + xi**2, pr**2 + pi**2, xr * pr + xi * pi), axis=1)
     ex, ep, num = (BAND_WEIGHTS @ powers).T
     corr = (num / np.sqrt(ex * ep + 1e-15)).clip(-1.0, 1.0)
-    return (corr, ex) if return_energies else corr
+    return corr, ex
 
 
 def compute_irm(clean_spectrum: np.ndarray, noisy_spectrum: np.ndarray) -> np.ndarray:

@@ -5,14 +5,16 @@ consecutive frames overlap by half. Both analysis and synthesis apply the
 same sine-of-sine window; its squared values at offsets n and n+480 sum to
 one, which is what makes plain overlap-add reconstruction exact.
 
-The DCT pair only ever runs on 22-value band vectors, so it is a product
-with a precomputed orthonormal 22x22 DCT-II matrix (the inverse is the
-product with its transpose). For vectors this short one small product
-costs far less than a general transform call, and the two agree up to
-rounding.
+The DCT pair runs on short band vectors (22 values), so it is a product
+with an orthonormal N x N DCT-II matrix, built once per length N and
+cached (the inverse is the product with its transpose). For vectors this
+short one small product costs far less than a general transform call,
+and the two agree up to rounding.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +22,6 @@ FRAME_LEN = 960
 HOP = 480
 NUM_BINS = FRAME_LEN // 2 + 1  # rfft bins, 50 Hz apart
 BIN_HZ = 48000 / FRAME_LEN
-DCT_LEN = 22  # one value per band
 
 
 def vorbis_window(n):
@@ -37,16 +38,14 @@ WINDOW = vorbis_window(np.arange(FRAME_LEN))
 WINDOW.setflags(write=False)
 
 
+@lru_cache(maxsize=8)
 def _dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix: row k holds basis vector k."""
+    """Orthonormal n x n DCT-II matrix, read-only: row k holds basis vector k."""
     k = np.arange(n)[:, None]
     m = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
     m[0] /= np.sqrt(2.0)
+    m.setflags(write=False)
     return m
-
-
-DCT_MATRIX = _dct_matrix(DCT_LEN)
-DCT_MATRIX.setflags(write=False)
 
 
 def analyze_frame(frame: np.ndarray) -> np.ndarray:
@@ -83,10 +82,12 @@ def synthesize_frame(spectrum: np.ndarray, overlap: np.ndarray):
 
 
 def dct_ii(values: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II along the last axis, which holds 22 values."""
-    return np.asarray(values, dtype=np.float64) @ DCT_MATRIX.T
+    """Orthonormal DCT-II along the last axis."""
+    values = np.asarray(values, dtype=np.float64)
+    return values @ _dct_matrix(values.shape[-1]).T
 
 
 def idct_ii(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of dct_ii (orthonormal DCT-III)."""
-    return np.asarray(coeffs, dtype=np.float64) @ DCT_MATRIX
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    return coeffs @ _dct_matrix(coeffs.shape[-1])

@@ -228,7 +228,7 @@ class FeatureExtractor:
         period, strength = pitch_mod.estimate_pitch(self.pitch_state, frame)
         delayed = pitch_mod.pitch_delayed_frame(self.pitch_state, period)
         spectrum, pitch_spectrum = dsp.analyze_frame(np.stack((frame, delayed)))
-        corr, energies = bands.band_correlation(spectrum, pitch_spectrum, return_energies=True)
+        corr, energies = bands.band_correlation(spectrum, pitch_spectrum)
 
         cepstrum = bfcc(energies)
         derivs = bfcc_derivatives(self.history, cepstrum)

@@ -83,7 +83,7 @@ def _normalized_lag_correlations(history: np.ndarray):
     return _LAGS, r
 
 
-def _prefer_subharmonics(lags: np.ndarray, r: np.ndarray, best_lag: int) -> int:
+def _prefer_subharmonics(r: np.ndarray, best_lag: int) -> int:
     """Swap the raw peak for the shortest near-divisor period that holds up.
 
     The raw argmax often lands on a multiple of the true period (the
@@ -124,7 +124,7 @@ def estimate_pitch(state: PitchState, frame: np.ndarray):
 
     lags, r = _normalized_lag_correlations(state.history)
     best = int(lags[np.argmax(r)])
-    best = _prefer_subharmonics(lags, r, best)
+    best = _prefer_subharmonics(r, best)
     strength = min(max(float(r[best - PITCH_MIN_PERIOD]), 0.0), 1.0)
     state.last_period = best
     return best, strength

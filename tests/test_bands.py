@@ -67,9 +67,9 @@ def test_partition_of_unity_100_spectra():
 def test_correlation_self_and_sign():
     rng = np.random.default_rng(29)
     spec = random_spectrum(rng)
-    corr = bands.band_correlation(spec, spec)
+    corr, _ = bands.band_correlation(spec, spec)
     np.testing.assert_allclose(corr, 1.0, atol=1e-6)
-    anti = bands.band_correlation(spec, -spec)
+    anti, _ = bands.band_correlation(spec, -spec)
     np.testing.assert_allclose(anti, -1.0, atol=1e-6)
 
 
@@ -78,7 +78,8 @@ def test_correlation_matches_direct_sum():
     x = random_spectrum(rng)
     p = random_spectrum(rng)
     w = oracle_triangle_weights()
-    got = bands.band_correlation(x, p)
+    got, energies = bands.band_correlation(x, p)
+    np.testing.assert_allclose(energies, bands.band_energies(x), rtol=1e-12, atol=0.0)
     for b in range(22):
         num = np.sum(w[b] * (x.real * p.real + x.imag * p.imag))
         ex = np.sum(w[b] * np.abs(x) ** 2)

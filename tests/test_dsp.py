@@ -151,3 +151,13 @@ def test_dct_roundtrip():
     rng = np.random.default_rng(19)
     x = rng.normal(size=22)
     np.testing.assert_allclose(dsp.idct_ii(dsp.dct_ii(x)), x, rtol=1e-12, atol=1e-12)
+
+
+def test_dct_any_length_along_last_axis():
+    rng = np.random.default_rng(23)
+    for n in (1, 6, 22, 40):
+        x = rng.normal(size=(3, n))
+        got = dsp.dct_ii(x)
+        for row in range(3):
+            np.testing.assert_allclose(got[row], brute_force_dct_ii(x[row]), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(dsp.idct_ii(got), x, rtol=1e-12, atol=1e-12)

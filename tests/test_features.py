@@ -339,7 +339,7 @@ def test_extractor_equals_composed_helpers():
         spec = dsp.analyze_frame(frame)
         period, strength = estimate_pitch(pitch_state, frame)
         p_spec = dsp.analyze_frame(pitch_delayed_frame(pitch_state, period))
-        corr = bands.band_correlation(spec, p_spec)
+        corr, _ = bands.band_correlation(spec, p_spec)
         energies = bands.band_energies(spec)
         cep = bfcc(energies)
         want = np.concatenate(

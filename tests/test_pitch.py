@@ -170,7 +170,7 @@ def test_comb_suppresses_between_harmonics():
         period, _ = estimate_pitch(state, frame)
     x_spec = dsp.analyze_frame(frame)
     p_spec = dsp.analyze_frame(pitch_delayed_frame(state, period))
-    corr = bands.band_correlation(x_spec, p_spec)
+    corr, _ = bands.band_correlation(x_spec, p_spec)
     y_spec = comb_filter(x_spec, p_spec, corr)
 
     # harmonics of a 240-sample period sit every 4th bin; probe midpoints
@@ -243,6 +243,6 @@ def test_subharmonic_scan_matches_loop_on_every_peak():
     for r in curves:
         for best in range(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1):
             want = _prefer_subharmonics_loop(r, best)
-            assert _prefer_subharmonics(lags, r, best) == want, (best, want)
+            assert _prefer_subharmonics(r, best) == want, (best, want)
             moved += want != best
     assert moved > 1000  # the scan swapped the peak often enough to mean something
