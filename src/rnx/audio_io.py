@@ -128,11 +128,3 @@ def store_audio(buffer: AudioBuffer, path, format: str | None = None) -> None:
         wavfile.write(path, buffer.sample_rate, pcm)
     else:
         raise AudioFormatError(f"unknown audio format {fmt!r}")
-
-
-def concat_audio(buffers) -> AudioBuffer:
-    """Concatenate buffers in order; empty input yields an empty buffer."""
-    parts = [b.samples for b in buffers]
-    if not parts:
-        return AudioBuffer(np.zeros(0))
-    return AudioBuffer(np.concatenate(parts))

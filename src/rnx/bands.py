@@ -11,8 +11,6 @@ zero the top 4 kHz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from rnx.dsp import NUM_BINS
@@ -27,16 +25,6 @@ BAND_CENTER_BINS = BAND_CENTERS_HZ // 50
 
 ENERGY_FLOOR = 1e-10
 MASK_SENTINEL = -1.0
-
-
-@dataclass(frozen=True)
-class BandLayout:
-    centers_hz: np.ndarray
-    center_bins: np.ndarray
-
-
-def band_layout() -> BandLayout:
-    return BandLayout(BAND_CENTERS_HZ.copy(), BAND_CENTER_BINS.copy())
 
 
 def _triangle_weights() -> np.ndarray:
@@ -58,12 +46,15 @@ BAND_WEIGHTS.setflags(write=False)
 
 
 def band_energies(spectrum: np.ndarray) -> np.ndarray:
-    """Triangle-weighted power per band, shape (22,)."""
+    """Triangle-weighted power per band: (..., 481) spectra give (..., 22).
+
+    One matrix-vector product per spectrum, so each row of a stack equals its own call.
+    """
     spectrum = np.asarray(spectrum)
-    if spectrum.shape != (NUM_BINS,):
+    if spectrum.shape[-1:] != (NUM_BINS,):
         raise ValueError(f"expected {NUM_BINS} bins, got shape {spectrum.shape}")
     power = spectrum.real**2 + spectrum.imag**2
-    return BAND_WEIGHTS @ power
+    return (BAND_WEIGHTS @ power[..., None])[..., 0]
 
 
 def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray):
@@ -71,31 +62,34 @@ def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray):
 
     Returns (corr, energies). corr is the real part of the cross-spectrum,
     band-weighted, normalized by the geometric mean of the two band
-    energies and clamped to [-1, 1]. The band energies of both spectra and
-    the band cross-power come from one (22, 481) @ (481, 3) product, so
-    the band energies of `spectrum` (equal to band_energies(spectrum)) come
-    back as well, at no extra cost.
+    energies and clamped to [-1, 1]. energies is band_energies(spectrum),
+    returned so that callers need not compute it again. (..., 481) stacks
+    give (..., 22) results, each row bitwise equal to its own call.
     """
     spectrum = np.asarray(spectrum)
     pitch_spectrum = np.asarray(pitch_spectrum)
-    if spectrum.shape != (NUM_BINS,) or pitch_spectrum.shape != (NUM_BINS,):
+    if spectrum.shape[-1:] != (NUM_BINS,) or pitch_spectrum.shape != spectrum.shape:
         raise ValueError("band_correlation expects two half spectra of matching length")
+    ex = band_energies(spectrum)
     xr, xi = spectrum.real, spectrum.imag
     pr, pi = pitch_spectrum.real, pitch_spectrum.imag
-    powers = np.stack((xr**2 + xi**2, pr**2 + pi**2, xr * pr + xi * pi), axis=1)
-    ex, ep, num = (BAND_WEIGHTS @ powers).T
+    banded = BAND_WEIGHTS @ np.stack((pr**2 + pi**2, xr * pr + xi * pi), axis=-1)
+    ep, num = banded[..., 0], banded[..., 1]
     corr = (num / np.sqrt(ex * ep + 1e-15)).clip(-1.0, 1.0)
     return corr, ex
 
 
-def compute_irm(clean_spectrum: np.ndarray, noisy_spectrum: np.ndarray) -> np.ndarray:
+def compute_irm(clean_energies: np.ndarray, noisy_energies: np.ndarray) -> np.ndarray:
     """Per-band energy-ratio mask clip(Ec/En, 0, 1), with -1 marking dead bands.
 
-    A band whose noisy energy falls below the floor carries no usable
+    Takes the clean and noisy band energies, 22 per frame with any leading
+    axes. A band whose noisy energy falls below the floor carries no usable
     evidence; it gets the sentinel value -1 so training can skip it.
     """
-    ec = band_energies(clean_spectrum)
-    en = band_energies(noisy_spectrum)
+    ec = np.asarray(clean_energies, dtype=np.float64)
+    en = np.asarray(noisy_energies, dtype=np.float64)
+    if ec.shape != en.shape or ec.shape[-1:] != (NUM_BANDS,):
+        raise ValueError(f"expected matching clean and noisy energies of {NUM_BANDS} bands")
     mask = (ec / np.maximum(en, ENERGY_FLOOR)).clip(0.0, 1.0)
     mask[en < ENERGY_FLOOR] = MASK_SENTINEL
     return mask

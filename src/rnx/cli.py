@@ -99,25 +99,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_features(args) -> int:
     from rnx.audio_io import load_audio
-    from rnx import bands, dsp
-    from rnx.features import EXTENDED_DIM, REFERENCE_DIM, FeatureExtractor
+    from rnx import bands
+    from rnx.features import analyze_signal
 
-    audio = load_audio(args.in_path)
-    extractor = FeatureExtractor()
-    rows = []
-    for off in range(0, len(audio.samples) - dsp.FRAME_LEN + 1, dsp.HOP):
-        analysis = extractor.process(audio.samples[off : off + dsp.FRAME_LEN])
-        if args.mode == "extended":
-            rows.append(np.concatenate((analysis.features, analysis.extended_raw)))
-        else:
-            rows.append(analysis.features)
-    dim = EXTENDED_DIM if args.mode == "extended" else REFERENCE_DIM
-    feats = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
+    feats = analyze_signal(load_audio(args.in_path).samples).rows(args.mode)
     # no targets for a bare dump: sentinel gains, vad 0
-    gains = np.full((len(rows), bands.NUM_BANDS), -1.0)
-    vad = np.zeros(len(rows))
-    dataset.write_feature_file(args.out, dim, feats, gains, vad)
-    print(f"wrote {len(rows)} frames to {args.out}")
+    gains = np.full((len(feats), bands.NUM_BANDS), -1.0)
+    dataset.write_feature_file(args.out, feats.shape[1], feats, gains, np.zeros(len(feats)))
+    print(f"wrote {len(feats)} frames to {args.out}")
     return 0
 
 

@@ -14,15 +14,15 @@ frame_count rows of [features | 22 gains | vad].
 from __future__ import annotations
 
 import struct
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rnx import bands, dsp
 from rnx.audio_io import AudioBuffer, load_audio
-from rnx.features import EXTENDED_DIM, REFERENCE_DIM, FeatureExtractor
+from rnx.features import EXTENDED_DIM, REFERENCE_DIM, analyze_signal
 
 MAGIC = b"RNXF"
 FORMAT_VERSION = 1
@@ -62,29 +62,24 @@ class FeatureDataset:
         return self.features.shape[0]
 
 
-def vad_target(clean_frame_energy: float, running_median: float) -> int:
-    """1 iff the frame clears both the relative and absolute energy floors."""
-    active = (
-        clean_frame_energy > VAD_MEDIAN_RATIO * running_median
-        and clean_frame_energy > VAD_ABS_FLOOR
-    )
-    return int(active)
+def vad_target(clean_frame_energy, running_median):
+    """1 iff the frame clears both the relative and absolute energy floors (elementwise)."""
+    energy = np.asarray(clean_frame_energy)
+    return ((energy > VAD_MEDIAN_RATIO * running_median) & (energy > VAD_ABS_FLOOR)).astype(np.int64)
 
 
-class VadLabeler:
-    """Streaming clean-frame VAD labeling against a trailing energy median."""
+def vad_labels(clean_frames: np.ndarray) -> np.ndarray:
+    """VAD label per clean frame, against the median energy of the last 100 frames.
 
-    def __init__(self):
-        self.energies = deque(maxlen=VAD_MEDIAN_WINDOW)
-
-    def label(self, clean_frame: np.ndarray) -> int:
-        energy = float(np.mean(np.square(clean_frame)))
-        self.energies.append(energy)
-        return vad_target(energy, float(np.median(self.energies)))
-
-
-def _frame_offsets(n_samples: int):
-    return range(0, n_samples - dsp.FRAME_LEN + 1, dsp.HOP)
+    The first 99 frames take the median of all frames so far: their windows
+    start with +inf padding, which sorts last, so only `count` values count.
+    """
+    energy = np.array([np.mean(np.square(frame)) for frame in clean_frames])
+    padded = np.concatenate((np.full(VAD_MEDIAN_WINDOW, np.inf), energy))
+    ordered = np.sort(sliding_window_view(padded, VAD_MEDIAN_WINDOW)[1:], axis=-1)
+    count = np.minimum(np.arange(1, len(energy) + 1), VAD_MEDIAN_WINDOW)[:, None]
+    middle = np.take_along_axis(ordered, np.hstack(((count - 1) // 2, count // 2)), axis=1)
+    return vad_target(energy, middle.mean(axis=1))
 
 
 def mix_and_label(
@@ -125,27 +120,10 @@ def mix_and_label(
         c = c / peak
         noisy = noisy / peak
 
-    extractor = FeatureExtractor()
-    labeler = VadLabeler()
-    extended = mode == "extended"
-    feat_rows = []
-    gain_rows = []
-    vad_rows = []
-    for off in _frame_offsets(len(noisy)):
-        analysis = extractor.process(noisy[off : off + dsp.FRAME_LEN])
-        clean_frame = c[off : off + dsp.FRAME_LEN]
-        clean_spec = dsp.analyze_frame(clean_frame)
-        gain_rows.append(bands.compute_irm(clean_spec, analysis.spectrum))
-        vad_rows.append(labeler.label(clean_frame))
-        if extended:
-            feat_rows.append(np.concatenate((analysis.features, analysis.extended_raw)))
-        else:
-            feat_rows.append(analysis.features)
-    dim = EXTENDED_DIM if extended else REFERENCE_DIM
-    feats = np.asarray(feat_rows, dtype=np.float64).reshape(len(feat_rows), dim)
-    gains = np.asarray(gain_rows, dtype=np.float64).reshape(len(gain_rows), bands.NUM_BANDS)
-    vads = np.asarray(vad_rows, dtype=np.float64)
-    return AudioBuffer(noisy), feats, gains, vads
+    analysis = analyze_signal(noisy, clean=c)
+    gains = bands.compute_irm(analysis.clean_energies, analysis.band_energies)
+    vads = vad_labels(dsp.framed(c)).astype(np.float64)
+    return AudioBuffer(noisy), analysis.rows(mode), gains, vads
 
 
 def write_feature_file(path, feature_dim: int, features, gains, vad) -> None:

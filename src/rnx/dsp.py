@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FRAME_LEN = 960
 HOP = 480
@@ -60,6 +61,13 @@ def analyze_frame(frame: np.ndarray) -> np.ndarray:
     if not np.isfinite(frame).all():
         raise ValueError("non-finite samples in analysis frame")
     return np.fft.rfft(frame * WINDOW)
+
+
+def framed(signal: np.ndarray, length: int = FRAME_LEN) -> np.ndarray:
+    """Read-only (T, length) view of the windows signal[480 t : 480 t + length], as many as fit."""
+    if len(signal) < length:
+        return np.zeros((0, length))
+    return sliding_window_view(signal, length)[::HOP]
 
 
 def synthesize_frame(spectrum: np.ndarray, overlap: np.ndarray):

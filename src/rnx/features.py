@@ -1,4 +1,4 @@
-"""Per-frame feature computation.
+"""Feature computation, per frame for streaming and per whole signal in chunks.
 
 The baseline vector is 42 values per frame, in a fixed layout:
 
@@ -31,6 +31,9 @@ REFERENCE_DIM = 42
 EXTENDED_DIM = 45
 STD_FLOOR = 1e-6
 ROLLOFF_THRESHOLD = 0.9
+# frames per batch in analyze_signal: bounds each temporary to about 0.5 MB,
+# and runs as fast as larger batches and faster than one whole-signal pass
+ANALYSIS_CHUNK = 32
 _EPS = 1e-15
 
 
@@ -73,24 +76,24 @@ def bfcc(energies: np.ndarray) -> np.ndarray:
 
 def bfcc_derivatives(history: FeatureHistory, current: np.ndarray) -> np.ndarray:
     """Backward first and second differences of cepstra 0..5, 12 values."""
-    c = np.asarray(current, dtype=np.float64)[:NUM_DERIV]
-    p = history.bfcc_prev[:NUM_DERIV]
-    p2 = history.bfcc_prev2[:NUM_DERIV]
-    return np.concatenate((c - p, c - 2.0 * p + p2))
+    c = np.asarray(current, dtype=np.float64)[..., :NUM_DERIV]
+    p = history.bfcc_prev[..., :NUM_DERIV]
+    p2 = history.bfcc_prev2[..., :NUM_DERIV]
+    return np.concatenate((c - p, c - 2.0 * p + p2), axis=-1)
 
 
 def pitch_dct_features(corr: np.ndarray) -> np.ndarray:
     """First 6 DCT coefficients of the 22 band pitch correlations."""
     corr = np.asarray(corr, dtype=np.float64)
-    if corr.shape != (bands.NUM_BANDS,):
+    if corr.shape[-1:] != (bands.NUM_BANDS,):
         raise ValueError(f"expected {bands.NUM_BANDS} correlations, got shape {corr.shape}")
-    return dsp.dct_ii(corr)[:NUM_PITCH_DCT]
+    return dsp.dct_ii(corr)[..., :NUM_PITCH_DCT]
 
 
 def nonstationarity(history: FeatureHistory, energies: np.ndarray) -> float:
     """Mean absolute change of log band energy since the previous frame."""
     flux = np.abs(log_band_energies(energies) - history.log_energy_prev)
-    return float(np.mean(flux))
+    return np.mean(flux, axis=-1)
 
 
 def spectral_shape(
@@ -103,19 +106,19 @@ def spectral_shape(
     bin units. Roll-off is the largest bin h with cumulative power below
     threshold * total power: zero-energy frames roll off at 0, and a single
     occupied bin k rolls off at k - 1 (the cumulative sum first meets the
-    total at k itself).
+    total at k itself). (..., bins) spectra give (..., 3) rows.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1)")
     power = np.abs(np.asarray(spectrum)) ** 2
-    k = np.arange(power.shape[0])
-    total = power.sum()
-    mean = (k * power).sum() / (total + _EPS)
+    k = np.arange(power.shape[-1])
+    total = power.sum(axis=-1)
+    mean = (k * power).sum(axis=-1) / (total + _EPS)
     if centroid is None:
         centroid = mean
-    bandwidth = np.sqrt(((k - centroid) ** 2 * power).sum() / (total + _EPS))
-    rolloff = max(int((np.cumsum(power) < threshold * total).sum()) - 1, 0) if total > 0.0 else 0
-    return np.array((mean, bandwidth, rolloff), dtype=np.float64)
+    bandwidth = np.sqrt(((k - np.asarray(centroid)[..., None]) ** 2 * power).sum(axis=-1) / (total + _EPS))
+    below = (np.cumsum(power, axis=-1) < threshold * total[..., None]).sum(axis=-1)
+    return np.array((mean, bandwidth, np.maximum(below - 1, 0)), dtype=np.float64).T
 
 
 def spectral_centroid(spectrum: np.ndarray) -> float:
@@ -131,17 +134,6 @@ def spectral_bandwidth(spectrum: np.ndarray, centroid: float) -> float:
 def spectral_rolloff(spectrum: np.ndarray, threshold: float = ROLLOFF_THRESHOLD) -> int:
     """Largest bin h with cumulative power below threshold * total power."""
     return int(spectral_shape(spectrum, threshold=threshold)[2])
-
-
-def rms(frame: np.ndarray) -> float:
-    frame = np.asarray(frame, dtype=np.float64)
-    return float(np.sqrt(np.mean(frame * frame)))
-
-
-def spectral_flatness(spectrum: np.ndarray) -> float:
-    """Geometric over arithmetic mean of bin powers; 1 for flat, ~0 for tonal."""
-    power = np.abs(np.asarray(spectrum)) ** 2 + _EPS
-    return float(np.exp(np.mean(np.log(power))) / np.mean(power))
 
 
 def standardize_extended(raw: np.ndarray, stats: FeatureStats) -> np.ndarray:
@@ -169,7 +161,7 @@ def assemble_features(
     extended_raw: np.ndarray | None = None,
     stats: FeatureStats | None = None,
 ) -> np.ndarray:
-    """Pack the per-frame parts into the fixed 42- or 45-value layout."""
+    """Pack the per-frame parts (or frame-major stacks of them) into the fixed 42- or 45-value layout."""
     if mode not in ("reference", "extended"):
         raise ValueError(f"unknown mode {mode!r}")
     base = np.concatenate(
@@ -177,10 +169,11 @@ def assemble_features(
             np.asarray(bfcc_vec, dtype=np.float64),
             np.asarray(derivs, dtype=np.float64),
             np.asarray(pitch_dct, dtype=np.float64),
-            [period / pitch_mod.PITCH_MAX_PERIOD, flux],
-        )
+            np.array((period / pitch_mod.PITCH_MAX_PERIOD, flux)).T,
+        ),
+        axis=-1,
     )
-    if base.shape != (REFERENCE_DIM,):
+    if base.shape[-1] != REFERENCE_DIM:
         raise ValueError(f"feature parts assemble to {base.shape}, expected ({REFERENCE_DIM},)")
     if mode == "reference":
         if extended_raw is not None:
@@ -189,11 +182,11 @@ def assemble_features(
     if extended_raw is None:
         raise ValueError("extended mode requires the raw centroid/bandwidth/roll-off triple")
     trio = np.asarray(extended_raw, dtype=np.float64)
-    if trio.shape != (3,):
+    if trio.shape[-1:] != (3,):
         raise ValueError(f"expected 3 extended values, got shape {trio.shape}")
     if stats is not None:
         trio = standardize_extended(trio, stats)
-    return np.concatenate((base, trio))
+    return np.concatenate((base, trio), axis=-1)
 
 
 @dataclass
@@ -245,3 +238,65 @@ class FeatureExtractor:
             features=base,
             extended_raw=spectral_shape(spectrum),
         )
+
+
+@dataclass
+class SignalAnalysis:
+    """analyze_signal's results as (T, ...) arrays, plus the clean frames' band energies."""
+
+    band_energies: np.ndarray
+    band_corr: np.ndarray
+    period: np.ndarray
+    pitch_strength: np.ndarray
+    features: np.ndarray
+    extended_raw: np.ndarray
+    clean_energies: np.ndarray | None
+
+    def rows(self, mode: str) -> np.ndarray:
+        """Raw feature rows: the 42 features, then in extended mode the raw trio."""
+        return self.features if mode == "reference" else np.hstack((self.features, self.extended_raw))
+
+
+def analyze_signal(x: np.ndarray, clean: np.ndarray | None = None) -> SignalAnalysis:
+    """A fresh FeatureExtractor's results for the frames x[480 t : 480 t + 960], in chunks.
+
+    Periods and strengths are bitwise equal, the rest up to rounding. As in
+    the extractor, frame 0's first hop never enters the pitch history (1280
+    zeros, then x[480:960]). `clean` adds the band energies of its frames.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    signals = [x] if clean is None else [x, np.asarray(clean, dtype=np.float64)]
+    if x.ndim != 1 or signals[-1].shape != x.shape:
+        raise ValueError("expected a mono signal, and a clean signal as long")
+    if not all(np.isfinite(s).all() for s in signals):
+        raise ValueError("non-finite samples in signal")
+    frames = [dsp.framed(s) for s in signals]
+    pitch_input = np.concatenate((np.zeros(pitch_mod.PITCH_MAX_PERIOD + dsp.HOP), x[dsp.HOP :]))
+    histories = dsp.framed(pitch_input, pitch_mod.HISTORY_LEN)
+    count = len(histories)
+    period, strength = np.zeros(count, dtype=np.int64), np.zeros(count)
+    energies, corr, cepstrum, clean_energies, pitch_dct, trio = (
+        np.zeros((count, n)) for n in (bands.NUM_BANDS,) * 4 + (NUM_PITCH_DCT, 3)
+    )
+    last_period = pitch_mod.PitchState().last_period
+    for start in range(0, count, ANALYSIS_CHUNK):
+        rows = slice(start, start + ANALYSIS_CHUNK)
+        period[rows], strength[rows] = pitch_mod.track_pitch(histories[rows], last_period)
+        last_period = period[rows][-1]
+        offsets = (pitch_mod.PITCH_MAX_PERIOD - period[rows])[:, None] + np.arange(dsp.FRAME_LEN)
+        delayed = dsp.analyze_frame(np.take_along_axis(histories[rows], offsets, axis=1))
+        spectrum = dsp.analyze_frame(frames[0][rows])
+        corr[rows], energies[rows] = bands.band_correlation(spectrum, delayed)
+        # the DCTs run per chunk too: BLAS spreads a long signal's product
+        # over threads, which costs far more than it saves at this size
+        cepstrum[rows], pitch_dct[rows] = bfcc(energies[rows]), pitch_dct_features(corr[rows])
+        trio[rows] = spectral_shape(spectrum)
+        for f in frames[1:]:
+            clean_energies[rows] = bands.band_energies(dsp.analyze_frame(f[rows]))
+    # the history of each row is the rows before it, zeros before the first
+    history = FeatureHistory(*(np.pad(a, ((lag, 0), (0, 0)))[:count] for a, lag in (
+        (cepstrum, 1), (cepstrum, 2), (log_band_energies(energies), 1))))
+    derivs, flux = bfcc_derivatives(history, cepstrum), nonstationarity(history, energies)
+    features = assemble_features("reference", cepstrum, derivs, pitch_dct, period, flux)
+    clean_energies = None if clean is None else clean_energies
+    return SignalAnalysis(energies, corr, period, strength, features, trio, clean_energies)

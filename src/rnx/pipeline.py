@@ -79,6 +79,11 @@ def process_hop(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (dsp.HOP,):
         raise ValueError(f"expected a hop of {dsp.HOP} samples, got shape {samples.shape}")
+    if mask_override is not None:
+        mask_override = np.asarray(mask_override, dtype=np.float64)
+        usable = np.isfinite(mask_override) & (mask_override >= 0.0)
+        if mask_override.shape != (bands.NUM_BANDS,) or not usable.all():
+            raise ValueError(f"mask_override must hold {bands.NUM_BANDS} finite values >= 0")
     # the extractor rejects a non-finite frame before it changes any state,
     # so a rejected hop leaves no trace
     analysis = state.extractor.process(np.concatenate((state.pending, samples)))
@@ -88,7 +93,7 @@ def process_hop(
         spectrum = comb_filter(spectrum, analysis.pitch_spectrum, analysis.band_corr)
 
     if mask_override is not None:
-        mask = np.asarray(mask_override, dtype=np.float64)
+        mask = mask_override
         vad = 0.0
     elif bypass_mask:
         mask = np.ones(bands.NUM_BANDS)

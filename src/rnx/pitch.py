@@ -69,17 +69,21 @@ def _normalized_lag_correlations(history: np.ndarray):
 
     r(T) correlates the current frame (the last 960 history samples) with
     the window starting T samples earlier, normalized by both energies.
+    A (k, 1760) stack of histories gives (k, 741) values, each row bitwise
+    equal to that history's own call.
     """
-    frame = history[PITCH_MAX_PERIOD:]
-    e_frame = float(frame @ frame)
-    # num_by_j[j] = sum_i history[j+i] * frame[i]; lag T is j = 800 - T
-    # (nothing wraps for these j, see the module docstring)
-    cross = np.fft.rfft(history) * np.conj(np.fft.rfft(frame, HISTORY_LEN))
-    num_by_j = np.fft.irfft(cross, HISTORY_LEN)
-    sq = np.concatenate(([0.0], np.cumsum(history * history)))
-    e_delayed = sq[_STARTS + FRAME_LEN] - sq[_STARTS]
-    num = num_by_j[_STARTS]
-    r = num / np.sqrt(e_frame * e_delayed + 1e-15)
+    frame = history[..., PITCH_MAX_PERIOD:]
+    # num_by_j[j] = sum_i history[j+i] * frame[i]; lag T is j = 800 - T (nothing
+    # wraps, see the module docstring). An explicit ufunc output, since `*` on a
+    # large temporary takes a complex loop that rounds differently from a frame's.
+    cross = np.conj(np.fft.rfft(frame, HISTORY_LEN))
+    np.multiply(np.fft.rfft(history), cross, out=cross)
+    num = np.fft.irfft(cross, HISTORY_LEN).take(_STARTS, axis=-1)
+    del cross
+    sq = np.zeros(history.shape[:-1] + (HISTORY_LEN + 1,))
+    np.cumsum(history * history, axis=-1, out=sq[..., 1:])
+    e_delayed = sq.take(_STARTS + FRAME_LEN, axis=-1) - sq.take(_STARTS, axis=-1)
+    r = num / np.sqrt(np.vecdot(frame, frame)[..., None] * e_delayed + 1e-15)
     return _LAGS, r
 
 
@@ -128,6 +132,24 @@ def estimate_pitch(state: PitchState, frame: np.ndarray):
     strength = min(max(float(r[best - PITCH_MIN_PERIOD]), 0.0), 1.0)
     state.last_period = best
     return best, strength
+
+
+def track_pitch(histories: np.ndarray, last_period: int):
+    """estimate_pitch's (periods, strengths), bitwise, for consecutive (k, 1760) history rows.
+
+    `last_period` is the period accepted before row 0; silent rows repeat
+    the last accepted period (a forward fill) with zero strength.
+    """
+    current = histories[:, PITCH_MAX_PERIOD:]
+    voiced = np.vecdot(current, current) >= SILENCE_FLOOR
+    _, r = _normalized_lag_correlations(histories)
+    raw = PITCH_MIN_PERIOD + r.argmax(axis=-1)
+    periods = np.full(len(r), last_period)
+    for i in np.flatnonzero(voiced):
+        periods[i] = _prefer_subharmonics(r[i], raw[i])
+    strengths = np.where(voiced, r[np.arange(len(r)), periods - PITCH_MIN_PERIOD].clip(0.0, 1.0), 0.0)
+    latest = np.maximum.accumulate(np.where(voiced, np.arange(len(r)), -1))
+    return np.where(latest >= 0, periods[latest], last_period), strengths
 
 
 def pitch_delayed_frame(state: PitchState, period: int) -> np.ndarray:

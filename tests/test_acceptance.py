@@ -253,7 +253,7 @@ def test_c09_oracle_mask_gate(training_run):
     for k in range(hops + 1):
         c_spec = dsp.analyze_frame(pad_c[k * dsp.HOP : k * dsp.HOP + dsp.FRAME_LEN])
         n_spec = dsp.analyze_frame(pad_n[k * dsp.HOP : k * dsp.HOP + dsp.FRAME_LEN])
-        irm = bands.compute_irm(c_spec, n_spec)
+        irm = bands.compute_irm(bands.band_energies(c_spec), bands.band_energies(n_spec))
         masks.append(np.where(irm < 0.0, 0.0, irm))
 
     model = init_weights(0, 42)  # bypassed; only the mask path runs

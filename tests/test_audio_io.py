@@ -5,7 +5,6 @@ from scipy.io import wavfile
 from rnx.audio_io import (
     AudioBuffer,
     AudioFormatError,
-    concat_audio,
     load_audio,
     quantize_pcm16,
     store_audio,
@@ -90,13 +89,6 @@ def test_format_inferred_from_extension(tmp_path):
     assert len(load_audio(tmp_path / "a.raw")) == 100
     with pytest.raises(AudioFormatError, match="infer"):
         load_audio(tmp_path / "a.mp3")
-
-
-def test_concat_order_and_empty():
-    a = AudioBuffer(np.array([1.0, 2.0]) / 10)
-    b = AudioBuffer(np.array([3.0]) / 10)
-    np.testing.assert_array_equal(concat_audio([a, b]).samples, [0.1, 0.2, 0.3])
-    assert len(concat_audio([])) == 0
 
 
 def test_buffer_validation():

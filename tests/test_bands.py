@@ -33,11 +33,10 @@ def random_spectrum(rng, interior_only=False):
 
 
 def test_layout():
-    layout = bands.band_layout()
-    assert len(layout.centers_hz) == 22
-    assert all(c % 50 == 0 for c in layout.centers_hz)
-    assert layout.centers_hz[9] == 2000 and layout.center_bins[9] == 40
-    assert layout.center_bins[0] == 0 and layout.center_bins[-1] == 400
+    assert len(bands.BAND_CENTERS_HZ) == 22
+    assert all(c % 50 == 0 for c in bands.BAND_CENTERS_HZ)
+    assert bands.BAND_CENTERS_HZ[9] == 2000 and bands.BAND_CENTER_BINS[9] == 40
+    assert bands.BAND_CENTER_BINS[0] == 0 and bands.BAND_CENTER_BINS[-1] == 400
 
 
 def test_weights_match_oracle_construction():
@@ -88,12 +87,22 @@ def test_correlation_matches_direct_sum():
         assert got[b] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+def irm_of_spectra(clean, noisy):
+    return bands.compute_irm(bands.band_energies(clean), bands.band_energies(noisy))
+
+
 def test_irm_identity_and_zero():
     rng = np.random.default_rng(37)
     spec = random_spectrum(rng)
-    np.testing.assert_allclose(bands.compute_irm(spec, spec), 1.0, atol=1e-12)
-    m = bands.compute_irm(np.zeros(481, dtype=complex), spec)
+    np.testing.assert_allclose(irm_of_spectra(spec, spec), 1.0, atol=1e-12)
+    m = irm_of_spectra(np.zeros(481, dtype=complex), spec)
     np.testing.assert_allclose(m, 0.0, atol=1e-12)
+    # a stack of frames gives one mask per frame
+    stack = np.stack((spec, 0.5 * spec, np.zeros(481, dtype=complex)))
+    masks = irm_of_spectra(stack, np.stack((spec, spec, spec)))
+    np.testing.assert_allclose(masks, [np.ones(22), np.full(22, 0.25), np.zeros(22)], atol=1e-12)
+    with pytest.raises(ValueError):
+        bands.compute_irm(np.ones(22), np.ones(21))
 
 
 def test_irm_sentinel_for_dead_bands():
@@ -101,7 +110,7 @@ def test_irm_sentinel_for_dead_bands():
     noisy = np.zeros(481, dtype=complex)
     noisy[40] = 1.0  # only band neighborhood 8..10 has noisy energy
     clean[40] = 0.5
-    m = bands.compute_irm(clean, noisy)
+    m = irm_of_spectra(clean, noisy)
     assert m[9] == pytest.approx(0.25)
     dead = [b for b in range(22) if m[b] == -1.0]
     assert 9 not in dead
@@ -114,7 +123,7 @@ def test_irm_clipped_to_unit():
     rng = np.random.default_rng(41)
     noisy = random_spectrum(rng)
     clean = 3.0 * noisy  # clean louder than mixture in every band
-    m = bands.compute_irm(clean, noisy)
+    m = irm_of_spectra(clean, noisy)
     np.testing.assert_allclose(m, 1.0, atol=1e-12)
 
 

@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 import synthetic as syn
+from rnx import bands, dsp
 from rnx.audio_io import AudioBuffer, store_audio
 from rnx.dataset import (
     FeatureFileError,
     MixConfig,
-    VadLabeler,
     build_dataset,
     load_feature_file,
     mix_and_label,
+    vad_labels,
     vad_target,
     write_feature_file,
 )
-from rnx.features import EXTENDED_DIM, REFERENCE_DIM
+from rnx.features import EXTENDED_DIM, REFERENCE_DIM, FeatureExtractor
 
 
 def test_vad_target_rule():
@@ -32,11 +33,10 @@ def test_labeler_matches_trailing_median_oracle():
     rng = np.random.default_rng(431)
     # bursts of loud frames inside long quiet stretches
     amps = np.where(rng.uniform(size=300) < 0.3, 0.5, 0.01)
-    labeler = VadLabeler()
+    labels = vad_labels(np.repeat(amps[:, None], 960, axis=1))
+    assert labels.shape == (300,)
     window = []
-    for amp in amps:
-        frame = np.full(960, amp)
-        got = labeler.label(frame)
+    for amp, got in zip(amps, labels):
         energy = amp * amp
         window.append(energy)
         window = window[-100:]
@@ -46,8 +46,9 @@ def test_labeler_matches_trailing_median_oracle():
 
 
 def test_labeler_first_frame_loud_and_silent():
-    assert VadLabeler().label(np.full(960, 0.3)) == 1
-    assert VadLabeler().label(np.zeros(960)) == 0
+    assert vad_labels(np.full((1, 960), 0.3)).tolist() == [1]
+    assert vad_labels(np.zeros((1, 960))).tolist() == [0]
+    assert vad_labels(np.zeros((0, 960))).shape == (0,)
 
 
 def test_mix_config_validation():
@@ -71,6 +72,36 @@ def test_mix_zero_noise_gives_unit_gains():
     assert valid.any()
     np.testing.assert_array_equal(gains[valid], 1.0)
     assert set(np.unique(vads)) <= {0.0, 1.0}
+
+
+def test_mix_matches_per_frame_composition():
+    """The batched mix against the per-frame composition it replaced: the
+    extractor, the clean frame's analysis, the IRM of the band energies and
+    a trailing-median VAD over a window of the last 100 frame energies."""
+    rng = np.random.default_rng(457)
+    c = np.concatenate((syn.speech_like(rng, 1.2), np.zeros(480 * 25), syn.speech_like(rng, 0.8, pauses=False)))
+    noise = syn.babble_noise(rng, len(c) / 48000) * 0.3
+    noise[480 * 120 : 480 * 150] = 0.0  # digital silence in both: dead bands
+    cfg = MixConfig(snr_range_db=(5.0, 5.0), gain_range_db=(0.0, 0.0), seed=8)
+    noisy, feats, gains, vads = mix_and_label(AudioBuffer(c), AudioBuffer(noise), cfg, mode="extended")
+    x = noisy.samples
+    assert np.max(np.abs(x)) <= 1.0  # no peak rescue, so the clean signal is c itself
+
+    ex = FeatureExtractor()
+    energies = []
+    count = (len(x) - 960) // 480 + 1
+    assert feats.shape == (count, EXTENDED_DIM) and count > 200
+    for t in range(count):
+        frame = slice(480 * t, 480 * t + 960)
+        want = ex.process(x[frame])
+        clean_energies = bands.band_energies(dsp.analyze_frame(c[frame]))
+        np.testing.assert_array_equal(gains[t], bands.compute_irm(clean_energies, want.band_energies))
+        energies.append(float(np.mean(np.square(c[frame]))))
+        assert vads[t] == vad_target(energies[-1], float(np.median(energies[-100:])))
+        np.testing.assert_allclose(
+            feats[t], np.concatenate((want.features, want.extended_raw)), rtol=0, atol=1e-12
+        )
+    assert np.any(gains == -1.0) and np.any(vads == 0.0) and np.any(vads == 1.0)
 
 
 def test_mix_rejects_silent_clean():

@@ -7,6 +7,7 @@ import synthetic as syn
 from rnx import bands, dsp
 from rnx.pitch import PitchState, estimate_pitch, pitch_delayed_frame
 from rnx.features import (
+    ANALYSIS_CHUNK,
     EXTENDED_DIM,
     REFERENCE_DIM,
     FeatureExtractor,
@@ -16,13 +17,12 @@ from rnx.features import (
     bfcc,
     bfcc_derivatives,
     compute_stats,
+    analyze_signal,
     log_band_energies,
     nonstationarity,
     pitch_dct_features,
-    rms,
     spectral_bandwidth,
     spectral_centroid,
-    spectral_flatness,
     spectral_rolloff,
     standardize_extended,
 )
@@ -174,23 +174,6 @@ def test_rolloff_threshold_validation():
         spectral_rolloff(np.ones(481), threshold=1.0)
 
 
-def test_rms_values():
-    assert rms(np.zeros(10)) == 0.0
-    assert abs(rms(np.full(10, 0.5)) - 0.5) < 1e-15
-    assert abs(rms(np.array([3.0, -4.0])) - math.sqrt(12.5)) < 1e-12
-
-
-def test_flatness_extremes():
-    assert abs(spectral_flatness(np.ones(481, dtype=complex)) - 1.0) < 1e-9
-    tonal = np.zeros(481, dtype=complex)
-    tonal[50] = 10.0
-    assert spectral_flatness(tonal) < 1e-3
-    rng = np.random.default_rng(109)
-    spec = rng.normal(size=481) + 1j * rng.normal(size=481)
-    f = spectral_flatness(spec)
-    assert 0.0 < f <= 1.0
-
-
 def test_shape_features_scale_invariance():
     rng = np.random.default_rng(113)
     spec = rng.normal(size=481) + 1j * rng.normal(size=481)
@@ -200,7 +183,6 @@ def test_shape_features_scale_invariance():
         c = spectral_centroid(spec)
         assert abs(spectral_bandwidth(s, c) - spectral_bandwidth(spec, c)) < 1e-6
         assert spectral_rolloff(s) == spectral_rolloff(spec)
-        assert abs(spectral_flatness(s) - spectral_flatness(spec)) < 1e-9
 
 
 def test_stats_hand_values_and_floor():
@@ -388,3 +370,74 @@ def test_extractor_determinism():
         feats = [ex.process(x[k * 480 : k * 480 + 960]).features for k in range(3)]
         outs.append(np.stack(feats))
     np.testing.assert_array_equal(outs[0], outs[1])
+
+
+def _assert_matches_extractor(x, clean):
+    """analyze_signal against a fresh extractor fed the mix framing x[480 t : 480 t + 960]."""
+    got = analyze_signal(x, clean)
+    count = max((len(x) - 960) // 480 + 1, 0)
+    assert got.features.shape == (count, REFERENCE_DIM)
+    assert got.rows("extended").shape == (count, EXTENDED_DIM)
+    ex = FeatureExtractor()
+    for t in range(count):
+        want = ex.process(x[480 * t : 480 * t + 960])
+        if t == 0:
+            # frame 0's first hop never enters the pitch history
+            np.testing.assert_array_equal(ex.pitch_state.history, np.concatenate((np.zeros(1280), x[480:960])))
+        assert got.period[t] == want.period
+        assert got.pitch_strength[t] == want.pitch_strength
+        np.testing.assert_allclose(got.features[t], want.features, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.extended_raw[t], want.extended_raw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.band_energies[t], want.band_energies, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.band_corr[t], want.band_corr, rtol=0, atol=1e-12)
+        clean_energies = bands.band_energies(dsp.analyze_frame(clean[480 * t : 480 * t + 960]))
+        np.testing.assert_allclose(got.clean_energies[t], clean_energies, rtol=0, atol=1e-12)
+    return got
+
+
+def _signals():
+    rng = np.random.default_rng(137)
+    n = 480 * 150 + 123
+    speech = np.concatenate((syn.speech_like(rng, 0.7), np.zeros(480 * 30), syn.speech_like(rng, 1.0)))
+    return {
+        "speech_with_silence": speech[:n],
+        "stationary_noise": syn.stationary_noise(rng, 1.6)[:n],
+        "babble": syn.babble_noise(rng, 1.6)[:n],
+        "tones": (syn.tone(180.0, 1.6) + syn.tone(1100.0, 1.6, amplitude=0.2))[:n],
+        "pulse_train": syn.pulse_train(170, n),
+        "zeros": np.zeros(n),
+    }
+
+
+@pytest.mark.parametrize("name", list(_signals()))
+def test_analyze_signal_equals_extractor_loop(name):
+    x = _signals()[name]
+    got = _assert_matches_extractor(x, x[::-1] * 0.5)
+    if name in ("speech_with_silence", "zeros"):
+        assert np.any(got.pitch_strength == 0.0)  # the silence fallback ran
+
+
+def _length_of(frames):
+    return 960 + 480 * (frames - 1) + 77  # plus 77 samples that no frame covers
+
+
+@pytest.mark.parametrize(
+    "n", [0, 500] + [_length_of(f) for f in (1, ANALYSIS_CHUNK - 1, ANALYSIS_CHUNK, ANALYSIS_CHUNK + 1)]
+)
+def test_analyze_signal_lengths_and_chunk_edges(n):
+    """0 frames, under one frame, 1 frame, and one chunk minus one, exactly, plus one."""
+    speech = _signals()["speech_with_silence"]
+    _assert_matches_extractor(speech[:n], speech[::-1][:n])
+
+
+def test_analyze_signal_rejects_non_finite():
+    x = syn.tone(200.0, 0.1)
+    for bad in (np.nan, np.inf):
+        y = x.copy()
+        y[1000] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            analyze_signal(y)
+        with pytest.raises(ValueError, match="non-finite"):
+            analyze_signal(x, clean=y)
+    with pytest.raises(ValueError):
+        analyze_signal(x, clean=x[:-1])

@@ -152,29 +152,44 @@ def _stream_snapshot(state):
     }
 
 
-@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+BAD_MASKS = {
+    "negative_mask": np.full(22, -0.5),
+    "short_mask": np.full(21, 0.5),
+    "nan_mask": np.where(np.arange(22) == 5, np.nan, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, *BAD_MASKS])
 def test_rejected_hop_leaves_no_trace(bad_value):
+    """A hop with a non-finite sample (after six good hops), or a good hop
+    with a mask_override that cannot be applied (after three), raises and
+    leaves the stream state as it was."""
     rng = np.random.default_rng(643)
     x = syn.speech_like(rng, 0.2, pauses=False)
     blocks = hops_of(x)[:12]
     model = init_weights(10, EXTENDED_DIM)
     clean, probed = create_state(model), create_state(model)
-    for block in blocks[:6]:
+    warm = 3 if bad_value in BAD_MASKS else 6
+    for block in blocks[:warm]:
         process_hop(clean, block)
         process_hop(probed, block)
 
     before = _stream_snapshot(probed)
-    bad = blocks[6].copy()
-    bad[100] = bad_value
-    with pytest.raises(ValueError, match="non-finite"):
-        process_hop(probed, bad)
+    if bad_value in BAD_MASKS:
+        with pytest.raises(ValueError, match="mask_override"):
+            process_hop(probed, blocks[warm], mask_override=BAD_MASKS[bad_value])
+    else:
+        bad = blocks[warm].copy()
+        bad[100] = bad_value
+        with pytest.raises(ValueError, match="non-finite"):
+            process_hop(probed, bad)
     after = _stream_snapshot(probed)
     assert before.keys() == after.keys()
     for key in before:
         np.testing.assert_array_equal(after[key], before[key], err_msg=key)
 
     # the next good hops come out bitwise as if the bad hop never arrived
-    for block in blocks[6:]:
+    for block in blocks[warm:]:
         want = process_hop(clean, block)
         got = process_hop(probed, block)
         np.testing.assert_array_equal(got.samples, want.samples)
