@@ -54,7 +54,7 @@ def band_energies(spectrum: np.ndarray) -> np.ndarray:
     if spectrum.shape[-1:] != (NUM_BINS,):
         raise ValueError(f"expected {NUM_BINS} bins, got shape {spectrum.shape}")
     power = spectrum.real**2 + spectrum.imag**2
-    return (BAND_WEIGHTS @ power[..., None])[..., 0]
+    return np.matvec(BAND_WEIGHTS, power)
 
 
 def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray):
@@ -102,20 +102,21 @@ def interpolate_gains(mask: np.ndarray) -> np.ndarray:
     gain, and the sqrt is taken per band *before* the triangular spread:
     g(k) = sum_b w_b(k) * sqrt(m_b). A uniform mask of 0.25 therefore maps
     to gain 0.5 everywhere, and an all-ones mask is the exact identity.
+    (..., 22) masks give (..., 481) gains, each row bitwise equal to its own call.
     """
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (NUM_BANDS,):
+    if mask.shape[-1:] != (NUM_BANDS,):
         raise ValueError(f"expected {NUM_BANDS} band values, got shape {mask.shape}")
     if np.any(mask < 0.0):
         raise ValueError("mask contains negative values; replace sentinels before interpolation")
-    gains = np.sqrt(mask) @ BAND_WEIGHTS
+    gains = np.vecmat(np.sqrt(mask), BAND_WEIGHTS)
     return gains.clip(0.0, 1.0)
 
 
 def apply_gains(spectrum: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Scale each bin of a half spectrum by its gain."""
+    """Scale each bin of a half spectrum (or a stack of them) by its gain."""
     spectrum = np.asarray(spectrum)
     gains = np.asarray(gains, dtype=np.float64)
-    if spectrum.shape != (NUM_BINS,) or gains.shape != (NUM_BINS,):
+    if spectrum.shape[-1:] != (NUM_BINS,) or gains.shape != spectrum.shape:
         raise ValueError("apply_gains expects a half spectrum and per-bin gains of matching length")
     return spectrum * gains

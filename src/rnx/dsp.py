@@ -9,7 +9,9 @@ The DCT pair runs on short band vectors (22 values), so it is a product
 with an orthonormal N x N DCT-II matrix, built once per length N and
 cached (the inverse is the product with its transpose). For vectors this
 short one small product costs far less than a general transform call,
-and the two agree up to rounding.
+and the two agree up to rounding. A stack of vectors takes one
+matrix-vector product per row, so each row is bitwise equal to its own
+call.
 """
 
 from __future__ import annotations
@@ -75,27 +77,30 @@ def synthesize_frame(spectrum: np.ndarray, overlap: np.ndarray):
 
     Returns (out, carry): `out` is the 480 finished output samples (the
     frame's first half plus the carry from the previous frame), `carry` is
-    the windowed second half to be added to the next frame's output.
+    the windowed second half to be added to the next frame's output. A
+    (k, 481) stack of consecutive frames gives (k, 480) output hops, the
+    overlap-add done inside the stack, and the last frame's carry.
     """
     spectrum = np.asarray(spectrum)
-    if spectrum.shape != (NUM_BINS,):
+    if spectrum.ndim not in (1, 2) or spectrum.shape[-1] != NUM_BINS:
         raise ValueError(f"expected {NUM_BINS} spectrum bins, got shape {spectrum.shape}")
     overlap = np.asarray(overlap, dtype=np.float64)
     if overlap.shape != (HOP,):
         raise ValueError(f"expected {HOP} overlap samples, got shape {overlap.shape}")
     frame = np.fft.irfft(spectrum, FRAME_LEN) * WINDOW
-    out = frame[:HOP] + overlap
-    carry = frame[HOP:].copy()
-    return out, carry
+    # each frame's first half adds the second half of the frame before it
+    tails = np.concatenate((overlap, frame[..., HOP:].ravel()))
+    out = frame[..., :HOP] + tails[:-HOP].reshape(frame.shape[:-1] + (HOP,))
+    return out, tails[-HOP:]
 
 
 def dct_ii(values: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II along the last axis."""
     values = np.asarray(values, dtype=np.float64)
-    return values @ _dct_matrix(values.shape[-1]).T
+    return np.matvec(_dct_matrix(values.shape[-1]), values)
 
 
 def idct_ii(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of dct_ii (orthonormal DCT-III)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    return coeffs @ _dct_matrix(coeffs.shape[-1])
+    return np.vecmat(coeffs, _dct_matrix(coeffs.shape[-1]))

@@ -17,7 +17,7 @@ first difference equals its cepstrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ REFERENCE_DIM = 42
 EXTENDED_DIM = 45
 STD_FLOOR = 1e-6
 ROLLOFF_THRESHOLD = 0.9
-# frames per batch in analyze_signal: bounds each temporary to about 0.5 MB,
+# frames per block in analysis_blocks: bounds each temporary to about 0.5 MB,
 # and runs as fast as larger batches and faster than one whole-signal pass
 ANALYSIS_CHUNK = 32
 _EPS = 1e-15
@@ -242,7 +242,11 @@ class FeatureExtractor:
 
 @dataclass
 class SignalAnalysis:
-    """analyze_signal's results as (T, ...) arrays, plus the clean frames' band energies."""
+    """analyze_signal's results as (T, ...) arrays, plus the clean frames' band energies.
+
+    The blocks analysis_blocks yields also carry their frames' spectra and
+    pitch-delayed spectra; analyze_signal's whole-signal result does not.
+    """
 
     band_energies: np.ndarray
     band_corr: np.ndarray
@@ -251,18 +255,24 @@ class SignalAnalysis:
     features: np.ndarray
     extended_raw: np.ndarray
     clean_energies: np.ndarray | None
+    spectrum: np.ndarray | None = None
+    pitch_spectrum: np.ndarray | None = None
 
     def rows(self, mode: str) -> np.ndarray:
         """Raw feature rows: the 42 features, then in extended mode the raw trio."""
         return self.features if mode == "reference" else np.hstack((self.features, self.extended_raw))
 
 
-def analyze_signal(x: np.ndarray, clean: np.ndarray | None = None) -> SignalAnalysis:
-    """A fresh FeatureExtractor's results for the frames x[480 t : 480 t + 960], in chunks.
+def analysis_blocks(x: np.ndarray, clean: np.ndarray | None = None):
+    """Yield a fresh FeatureExtractor's results for the frames x[480 t : 480 t + 960], in blocks.
 
-    Periods and strengths are bitwise equal, the rest up to rounding. As in
-    the extractor, frame 0's first hop never enters the pitch history (1280
+    Each block is a SignalAnalysis of up to ANALYSIS_CHUNK consecutive
+    frames, with their spectra and pitch-delayed spectra; the pitch
+    fallback and the derivative and flux histories carry from block to
+    block. Every value is bitwise equal to the extractor's. As in the
+    extractor, frame 0's first hop never enters the pitch history (1280
     zeros, then x[480:960]). `clean` adds the band energies of its frames.
+    The signal is checked before the first block.
     """
     x = np.asarray(x, dtype=np.float64)
     signals = [x] if clean is None else [x, np.asarray(clean, dtype=np.float64)]
@@ -273,30 +283,44 @@ def analyze_signal(x: np.ndarray, clean: np.ndarray | None = None) -> SignalAnal
     frames = [dsp.framed(s) for s in signals]
     pitch_input = np.concatenate((np.zeros(pitch_mod.PITCH_MAX_PERIOD + dsp.HOP), x[dsp.HOP :]))
     histories = dsp.framed(pitch_input, pitch_mod.HISTORY_LEN)
-    count = len(histories)
-    period, strength = np.zeros(count, dtype=np.int64), np.zeros(count)
-    energies, corr, cepstrum, clean_energies, pitch_dct, trio = (
-        np.zeros((count, n)) for n in (bands.NUM_BANDS,) * 4 + (NUM_PITCH_DCT, 3)
-    )
     last_period = pitch_mod.PitchState().last_period
-    for start in range(0, count, ANALYSIS_CHUNK):
+    history = FeatureHistory()
+    for start in range(0, len(histories), ANALYSIS_CHUNK):
         rows = slice(start, start + ANALYSIS_CHUNK)
-        period[rows], strength[rows] = pitch_mod.track_pitch(histories[rows], last_period)
-        last_period = period[rows][-1]
-        offsets = (pitch_mod.PITCH_MAX_PERIOD - period[rows])[:, None] + np.arange(dsp.FRAME_LEN)
-        delayed = dsp.analyze_frame(np.take_along_axis(histories[rows], offsets, axis=1))
+        period, strength = pitch_mod.track_pitch(histories[rows], last_period)
+        last_period = period[-1]
+        offsets = (pitch_mod.PITCH_MAX_PERIOD - period)[:, None] + np.arange(dsp.FRAME_LEN)
+        pitch_spectrum = dsp.analyze_frame(np.take_along_axis(histories[rows], offsets, axis=1))
         spectrum = dsp.analyze_frame(frames[0][rows])
-        corr[rows], energies[rows] = bands.band_correlation(spectrum, delayed)
-        # the DCTs run per chunk too: BLAS spreads a long signal's product
-        # over threads, which costs far more than it saves at this size
-        cepstrum[rows], pitch_dct[rows] = bfcc(energies[rows]), pitch_dct_features(corr[rows])
-        trio[rows] = spectral_shape(spectrum)
-        for f in frames[1:]:
-            clean_energies[rows] = bands.band_energies(dsp.analyze_frame(f[rows]))
-    # the history of each row is the rows before it, zeros before the first
-    history = FeatureHistory(*(np.pad(a, ((lag, 0), (0, 0)))[:count] for a, lag in (
-        (cepstrum, 1), (cepstrum, 2), (log_band_energies(energies), 1))))
-    derivs, flux = bfcc_derivatives(history, cepstrum), nonstationarity(history, energies)
-    features = assemble_features("reference", cepstrum, derivs, pitch_dct, period, flux)
-    clean_energies = None if clean is None else clean_energies
-    return SignalAnalysis(energies, corr, period, strength, features, trio, clean_energies)
+        corr, energies = bands.band_correlation(spectrum, pitch_spectrum)
+        cepstrum = bfcc(energies)
+        # each row's history is the rows before it, the carried history before the first
+        cepstra = np.vstack((history.bfcc_prev2, history.bfcc_prev, cepstrum))
+        log_energies = np.vstack((history.log_energy_prev, log_band_energies(energies)))
+        shifted = FeatureHistory(cepstra[1:-1], cepstra[:-2], log_energies[:-1])
+        history = FeatureHistory(cepstra[-1], cepstra[-2], log_energies[-1])
+        features = assemble_features(
+            "reference", cepstrum, bfcc_derivatives(shifted, cepstrum), pitch_dct_features(corr),
+            period, nonstationarity(shifted, energies),
+        )
+        clean_energies = None if clean is None else bands.band_energies(dsp.analyze_frame(frames[1][rows]))
+        yield SignalAnalysis(
+            energies, corr, period, strength, features, spectral_shape(spectrum), clean_energies,
+            spectrum, pitch_spectrum,
+        )
+
+
+def analyze_signal(x: np.ndarray, clean: np.ndarray | None = None) -> SignalAnalysis:
+    """analysis_blocks' results for the whole signal as (T, ...) arrays, without the spectra."""
+    blocks = [replace(b, spectrum=None, pitch_spectrum=None) for b in analysis_blocks(x, clean)]
+    if not blocks:  # shorter than one frame
+        energies, corr, features, trio = (np.zeros((0, n)) for n in (bands.NUM_BANDS,) * 2 + (REFERENCE_DIM, 3))
+        clean_energies = None if clean is None else np.zeros((0, bands.NUM_BANDS))
+        period, strength = np.zeros(0, dtype=np.int64), np.zeros(0)
+        return SignalAnalysis(energies, corr, period, strength, features, trio, clean_energies)
+
+    def joined(name):
+        arrays = [getattr(b, name) for b in blocks]
+        return None if arrays[0] is None else np.concatenate(arrays)
+
+    return SignalAnalysis(*(joined(f.name) for f in fields(SignalAnalysis)))

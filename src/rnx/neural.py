@@ -21,6 +21,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -156,21 +157,32 @@ def dense_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"layer {layer.name}: input width {x.shape[-1]} != {layer.in_dim}")
-    return _activation(layer.activation)(x @ layer.weights.T + layer.bias)
+    return _activation(layer.activation)(np.matvec(layer.weights, x) + layer.bias)
 
 
-def gru_step(layer: LayerParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One recurrence step; works on single vectors or batched rows."""
+def gru_input(layer: LayerParams, x: np.ndarray) -> np.ndarray:
+    """The input half W x + b of a GRU's [z, r, c] gates, per row of (..., in_dim) inputs."""
     x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if x.shape[-1] != layer.in_dim or h.shape[-1] != layer.out_dim:
-        raise ValueError(f"layer {layer.name}: step dims mismatch")
+    if x.shape[-1] != layer.in_dim:
+        raise ValueError(f"layer {layer.name}: input width {x.shape[-1]} != {layer.in_dim}")
+    return np.matvec(layer.weights, x) + layer.bias
+
+
+def gru_recur(layer: LayerParams, gates_x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One recurrence step from the input gates gru_input(layer, x) and the state h."""
     u = layer.out_dim
-    gates_x = x @ layer.weights.T + layer.bias
     zr = expit(gates_x[..., : 2 * u] + h @ layer.recurrent[: 2 * u].T)
     z, r = zr[..., :u], zr[..., u:]
     c = _activation(layer.activation)(gates_x[..., 2 * u :] + (r * h) @ layer.recurrent[2 * u :].T)
     return z * h + (1.0 - z) * c
+
+
+def gru_step(layer: LayerParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One recurrence step; works on single vectors or batched rows."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.shape[-1] != layer.out_dim:
+        raise ValueError(f"layer {layer.name}: step dims mismatch")
+    return gru_recur(layer, gru_input(layer, x), h)
 
 
 def network_forward(model: NetworkModel, features: np.ndarray, state: HiddenState):
@@ -193,6 +205,38 @@ def network_forward(model: NetworkModel, features: np.ndarray, state: HiddenStat
     )
     mask = dense_forward(model.gains_out, h_denoise)
     return mask, vad, HiddenState(h_vad, h_noise, h_denoise)
+
+
+def _recur_frames(layer: LayerParams, gates_x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """gru_recur over consecutive frames' input gates; returns every frame's state."""
+    states = np.empty((len(gates_x), layer.out_dim))
+    for i, gates in enumerate(gates_x):
+        h = states[i] = gru_recur(layer, gates, h)
+    return states
+
+
+def network_block(model: NetworkModel, features: np.ndarray, state: HiddenState):
+    """network_forward over a (k, feature_dim) block of consecutive frames.
+
+    Returns (masks (k, 22), vads (k,), state after the last frame); row i
+    is bitwise what network_forward returns for frame i. The dense layer,
+    each GRU's input projection and both heads run once for the block;
+    only the recurrence steps loop over frames.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != model.feature_dim or not len(features):
+        raise ValueError(
+            f"feature block {features.shape} is not (k >= 1, feature_dim {model.feature_dim})"
+        )
+    dense = dense_forward(model.dense_in, features)
+    h_vad = _recur_frames(model.vad_gru, gru_input(model.vad_gru, dense), state.h_vad)
+    vads = dense_forward(model.vad_out, h_vad)[:, 0]
+    noise_in = gru_input(model.noise_gru, np.hstack((dense, h_vad, features)))
+    h_noise = _recur_frames(model.noise_gru, noise_in, state.h_noise)
+    denoise_in = gru_input(model.denoise_gru, np.hstack((h_vad, h_noise, features)))
+    h_denoise = _recur_frames(model.denoise_gru, denoise_in, state.h_denoise)
+    masks = dense_forward(model.gains_out, h_denoise)
+    return masks, vads, HiddenState(h_vad[-1], h_noise[-1], h_denoise[-1])
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out: int) -> np.ndarray:
@@ -292,7 +336,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, shape) -> np.ndarray:
-        n = int(np.prod(shape))
+        n = math.prod(shape)  # Python ints: a corrupt header's dims cannot wrap around
         return np.frombuffer(self.take(4 * n), dtype="<f4").astype(np.float64).reshape(shape)
 
 
@@ -312,7 +356,10 @@ def load_model(path) -> NetworkModel:
     layers = []
     for _ in range(layer_count):
         (name_len,) = r.unpack("<B")
-        name = bytes(r.take(name_len)).decode()
+        try:
+            name = bytes(r.take(name_len)).decode()
+        except UnicodeDecodeError:
+            raise ModelFormatError("layer name is not valid UTF-8") from None
         kind_code, act_code, in_dim, out_dim = r.unpack("<BBII")
         if kind_code not in _KIND_NAMES or act_code not in _ACT_NAMES:
             raise ModelFormatError(f"layer {name}: unknown kind/activation code")

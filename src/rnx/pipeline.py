@@ -1,4 +1,4 @@
-"""The streaming denoiser: hop in, hop out.
+"""The denoiser: hop in, hop out, or a whole buffer in frame blocks.
 
 Every 480-sample hop is combined with the previous one into a 960-sample
 analysis frame. The frame is analyzed, pitch is tracked, features are
@@ -7,9 +7,14 @@ the network predicts the band mask, and the gains are interpolated and
 applied before overlap-add synthesis. Algorithmic latency is exactly one
 hop: the samples returned for hop k reconstruct hop k-1.
 
-File mode pads to whole hops, runs one zero-fed flush hop, and drops the
-first (silent warm-up) output block, so output length equals input length
-with the delay compensated.
+process_hop runs this for one hop of a live stream. denoise_buffer pads
+a stored buffer to whole hops, adds one zero-fed flush hop and drops the
+first (silent warm-up) output block, so output length equals input
+length with the delay compensated. It runs the same steps over blocks of
+features.ANALYSIS_CHUNK frames: the analysis, comb filter, network
+layers and heads, gains and synthesis once per block along a leading
+frame axis, and only the GRU recurrence frame by frame. Its output is
+bitwise equal to a process_hop loop.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ import numpy as np
 
 from rnx import bands, dsp
 from rnx.audio_io import AudioBuffer, load_audio, store_audio
-from rnx.features import FeatureExtractor, standardize_extended
-from rnx.neural import HiddenState, NetworkModel, network_forward
+from rnx.features import FeatureExtractor, analysis_blocks, standardize_extended
+from rnx.neural import HiddenState, NetworkModel, network_block, network_forward
 from rnx.pitch import comb_filter
 
 
@@ -49,6 +54,8 @@ class DenoiseStats:
     frames: int
     mean_vad: float
     mean_gain: float
+    # run time of all blocks, flush hop included, divided by frames + 1:
+    # a throughput figure, not the latency of one streamed hop
     mean_hop_ms: float
 
 
@@ -60,6 +67,23 @@ def create_state(model: NetworkModel) -> DenoiserState:
         carry=np.zeros(dsp.HOP),
         pending=np.zeros(dsp.HOP),
     )
+
+
+def _checked_mask(mask: np.ndarray, name: str) -> np.ndarray:
+    """An injected band mask as float64, or ValueError unless it holds 22 finite values >= 0."""
+    mask = np.asarray(mask, dtype=np.float64)
+    usable = np.isfinite(mask) & (mask >= 0.0)
+    if mask.shape != (bands.NUM_BANDS,) or not usable.all():
+        raise ValueError(f"{name} must hold {bands.NUM_BANDS} finite values >= 0")
+    return mask
+
+
+def _network_input(model: NetworkModel, features: np.ndarray, extended_raw: np.ndarray) -> np.ndarray:
+    """The network's input for a frame or a block: the features, then in extended mode the standardized trio."""
+    if not model.extended:
+        return features
+    trio = extended_raw if model.stats is None else standardize_extended(extended_raw, model.stats)
+    return np.concatenate((features, trio), axis=-1)
 
 
 def process_hop(
@@ -80,10 +104,7 @@ def process_hop(
     if samples.shape != (dsp.HOP,):
         raise ValueError(f"expected a hop of {dsp.HOP} samples, got shape {samples.shape}")
     if mask_override is not None:
-        mask_override = np.asarray(mask_override, dtype=np.float64)
-        usable = np.isfinite(mask_override) & (mask_override >= 0.0)
-        if mask_override.shape != (bands.NUM_BANDS,) or not usable.all():
-            raise ValueError(f"mask_override must hold {bands.NUM_BANDS} finite values >= 0")
+        mask_override = _checked_mask(mask_override, "mask_override")
     # the extractor rejects a non-finite frame before it changes any state,
     # so a rejected hop leaves no trace
     analysis = state.extractor.process(np.concatenate((state.pending, samples)))
@@ -99,14 +120,8 @@ def process_hop(
         mask = np.ones(bands.NUM_BANDS)
         vad = 0.0
     else:
-        model = state.model
-        feats = analysis.features
-        if model.extended:
-            trio = analysis.extended_raw
-            if model.stats is not None:
-                trio = standardize_extended(trio, model.stats)
-            feats = np.concatenate((feats, trio))
-        mask, vad, state.hidden = network_forward(model, feats, state.hidden)
+        feats = _network_input(state.model, analysis.features, analysis.extended_raw)
+        mask, vad, state.hidden = network_forward(state.model, feats, state.hidden)
 
     out_spec = bands.apply_gains(spectrum, bands.interpolate_gains(mask))
     out, state.carry = dsp.synthesize_frame(out_spec, state.carry)
@@ -121,54 +136,57 @@ def denoise_buffer(
     mask_hook=None,
     dump=None,
 ):
-    """Denoise a whole buffer with latency compensation.
+    """Denoise a whole buffer with latency compensation, bitwise as a process_hop loop would.
 
     mask_hook, if given, is called with the hop index (including the final
-    flush hop) and must return a 22-value mask to inject, or None to fall
-    back to the normal path for that hop. `dump`, if a list, collects one
-    (vad, mask) pair per input hop. Returns (AudioBuffer, DenoiseStats).
+    flush hop), once per hop and in order, and must return a 22-value mask
+    to inject, or None to fall back to the normal path for that hop.
+    `dump`, if a list, collects one (vad, mask) pair per input hop.
+    Returns (AudioBuffer, DenoiseStats).
     """
     x = audio.samples
     n = len(x)
     hops = (n + dsp.HOP - 1) // dsp.HOP if n else 0
-    padded = np.zeros(hops * dsp.HOP)
-    padded[:n] = x
-    state = create_state(model)
-    out_blocks = []
-    vads = []
-    gains = []
+    # the streaming framing: frame k is [hop k-1 | hop k], hop -1 and the flush hop are zeros
+    signal = np.zeros((hops + 2) * dsp.HOP)
+    signal[dsp.HOP : dsp.HOP + n] = x
+    hidden = HiddenState.zeros(model)
+    carry = np.zeros(dsp.HOP)
+    # one row per frame; output hop k reconstructs input hop k - 1
+    out = np.empty((hops + 1, dsp.HOP))
+    masks, vads = np.ones((hops + 1, bands.NUM_BANDS)), np.zeros(hops + 1)
+    start = 0
     t0 = time.perf_counter()
-    for k in range(hops):
-        override = mask_hook(k) if mask_hook is not None else None
-        res = process_hop(
-            state,
-            padded[k * dsp.HOP : (k + 1) * dsp.HOP],
-            bypass_mask=bypass_mask,
-            bypass_pitch=bypass_pitch,
-            mask_override=override,
-        )
-        out_blocks.append(res.samples)
-        vads.append(res.vad)
-        gains.append(float(np.mean(res.mask)))
-        if dump is not None:
-            dump.append((res.vad, res.mask))
-    # flush: one zero hop pushes out the final real block
-    res = process_hop(state, np.zeros(dsp.HOP), bypass_mask=bypass_mask, bypass_pitch=bypass_pitch,
-                      mask_override=mask_hook(hops) if mask_hook is not None else None)
-    out_blocks.append(res.samples)
+    for block in analysis_blocks(signal):
+        rows = slice(start, start + len(block.period))
+        start = rows.stop
+        mask, vad = masks[rows], vads[rows]  # views: the block's writes land in masks and vads
+        net = []  # the rows the network runs on; its state holds across the others
+        for i, k in enumerate(range(rows.start, rows.stop)):
+            override = mask_hook(k) if mask_hook is not None else None
+            if override is not None:
+                mask[i] = _checked_mask(override, "mask_hook's mask")
+            elif not bypass_mask:
+                net.append(i)
+        if net:
+            feats = _network_input(model, block.features[net], block.extended_raw[net])
+            mask[net], vad[net], hidden = network_block(model, feats, hidden)
+        spectrum = block.spectrum
+        if not bypass_pitch:
+            spectrum = comb_filter(spectrum, block.pitch_spectrum, block.band_corr)
+        out[rows], carry = dsp.synthesize_frame(bands.apply_gains(spectrum, bands.interpolate_gains(mask)), carry)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
-    if hops:
-        out = np.concatenate(out_blocks[1:])[:n]  # drop warm-up block, trim pad
-    else:
-        out = np.zeros(0)
+    vads, masks = vads[:hops], masks[:hops]  # the flush hop's values are not reported
+    if dump is not None:
+        dump.extend(zip(vads.tolist(), masks))
     stats = DenoiseStats(
         frames=hops,
-        mean_vad=float(np.mean(vads)) if vads else 0.0,
-        mean_gain=float(np.mean(gains)) if gains else 0.0,
+        mean_vad=float(np.mean(vads)) if hops else 0.0,
+        mean_gain=float(np.mean(np.mean(masks, axis=-1))) if hops else 0.0,
         mean_hop_ms=elapsed_ms / (hops + 1) if hops else 0.0,
     )
-    return AudioBuffer(out), stats
+    return AudioBuffer(out.ravel()[dsp.HOP : dsp.HOP + n]), stats  # drop warm-up block, trim pad
 
 
 def denoise_file(
@@ -179,7 +197,7 @@ def denoise_file(
     bypass_pitch: bool = False,
     dump_masks_path=None,
 ) -> DenoiseStats:
-    """Stream a file through the denoiser; returns run statistics."""
+    """Denoise a file through denoise_buffer; returns run statistics."""
     audio = load_audio(in_path)
     dump = [] if dump_masks_path is not None else None
     out, stats = denoise_buffer(

@@ -166,15 +166,16 @@ def comb_filter(x_spec: np.ndarray, p_spec: np.ndarray, band_corr: np.ndarray) -
     Y(k) = (X(k) + a(k) P(k)) / (1 + a(k)), where a interpolates the squared
     clipped band correlations onto bins. A band with zero correlation passes
     through untouched; a fully coherent band keeps unit gain because the
-    denominator renormalizes the sum.
+    denominator renormalizes the sum. (..., 481) stacks with (..., 22)
+    correlations filter row by row, each row bitwise equal to its own call.
     """
     x_spec = np.asarray(x_spec)
     p_spec = np.asarray(p_spec)
     band_corr = np.asarray(band_corr, dtype=np.float64)
-    if x_spec.shape != (NUM_BINS,) or p_spec.shape != (NUM_BINS,):
+    if x_spec.shape[-1:] != (NUM_BINS,) or p_spec.shape != x_spec.shape:
         raise ValueError("comb_filter expects two half spectra")
-    if band_corr.shape != (NUM_BANDS,):
+    if band_corr.shape != x_spec.shape[:-1] + (NUM_BANDS,):
         raise ValueError(f"expected {NUM_BANDS} band correlations, got shape {band_corr.shape}")
     alpha_band = band_corr.clip(0.0, 1.0) ** 2
-    alpha = alpha_band @ BAND_WEIGHTS
+    alpha = np.vecmat(alpha_band, BAND_WEIGHTS)
     return (x_spec + alpha * p_spec) / (1.0 + alpha)

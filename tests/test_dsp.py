@@ -89,6 +89,21 @@ def test_synthesize_shape_checks():
         dsp.synthesize_frame(np.zeros(481, dtype=complex), np.zeros(100))
 
 
+def test_synthesize_stack_equals_frame_loop():
+    rng = np.random.default_rng(83)
+    spectra = np.fft.rfft(rng.normal(size=(5, 960)))
+    carry0 = rng.normal(size=480)
+    out, carry = dsp.synthesize_frame(spectra, carry0)
+    want_carry = carry0
+    for k, spectrum in enumerate(spectra):
+        want, want_carry = dsp.synthesize_frame(spectrum, want_carry)
+        np.testing.assert_array_equal(out[k], want)
+    np.testing.assert_array_equal(carry, want_carry)
+    empty, same = dsp.synthesize_frame(np.zeros((0, 481), dtype=complex), carry0)
+    assert empty.shape == (0, 480)
+    np.testing.assert_array_equal(same, carry0)
+
+
 def _reconstruct(x):
     """Plain analysis/synthesis loop over hops; returns aligned output."""
     hops = len(x) // dsp.HOP

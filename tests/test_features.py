@@ -386,12 +386,12 @@ def _assert_matches_extractor(x, clean):
             np.testing.assert_array_equal(ex.pitch_state.history, np.concatenate((np.zeros(1280), x[480:960])))
         assert got.period[t] == want.period
         assert got.pitch_strength[t] == want.pitch_strength
-        np.testing.assert_allclose(got.features[t], want.features, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.extended_raw[t], want.extended_raw, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.band_energies[t], want.band_energies, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.band_corr[t], want.band_corr, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got.features[t], want.features)
+        np.testing.assert_array_equal(got.extended_raw[t], want.extended_raw)
+        np.testing.assert_array_equal(got.band_energies[t], want.band_energies)
+        np.testing.assert_array_equal(got.band_corr[t], want.band_corr)
         clean_energies = bands.band_energies(dsp.analyze_frame(clean[480 * t : 480 * t + 960]))
-        np.testing.assert_allclose(got.clean_energies[t], clean_energies, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got.clean_energies[t], clean_energies)
     return got
 
 

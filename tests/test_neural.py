@@ -16,6 +16,7 @@ from rnx.neural import (
     gru_step,
     init_weights,
     load_model,
+    network_block,
     network_forward,
     save_model,
 )
@@ -354,3 +355,21 @@ def test_hidden_state_zeros_shapes():
     assert st.h_noise.shape == (48,)
     assert st.h_denoise.shape == (96,)
     assert HIDDEN_WIDTHS == (24, 24, 48, 96)
+
+
+@pytest.mark.parametrize("dim", [REFERENCE_DIM, EXTENDED_DIM])
+def test_network_block_rows_equal_network_forward(dim):
+    model = init_weights(21, dim)
+    feats = np.random.default_rng(22).normal(size=(7, dim))
+    state = HiddenState.zeros(model)
+    state.h_noise = np.full(model.noise_gru.out_dim, 0.3)
+    masks, vads, end = network_block(model, feats, state)
+    for k, row in enumerate(feats):
+        mask, vad, state = network_forward(model, row, state)
+        np.testing.assert_array_equal(masks[k], mask)
+        assert vads[k] == vad
+    for name in ("h_vad", "h_noise", "h_denoise"):
+        np.testing.assert_array_equal(getattr(end, name), getattr(state, name))
+    for bad in (feats[0], feats[:0], feats[:, :-1]):
+        with pytest.raises(ValueError):
+            network_block(model, bad, state)

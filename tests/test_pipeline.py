@@ -248,3 +248,110 @@ def test_denoise_file_mask_dump(tmp_path):
         vals = [float(v) for v in m.group(3).split(",")]
         assert len(vals) == 22
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+def manual_hop_loop(model, x, bypass_mask=False, bypass_pitch=False, mask_hook=None):
+    """denoise_buffer's contract as a process_hop loop: (samples, stats fields, dump)."""
+    hops = (len(x) + 479) // 480
+    padded = np.zeros((hops + 1) * 480)  # the last hop is the zero flush hop
+    padded[: len(x)] = x
+    state = create_state(model)
+    outs, dump = [], []
+    for k in range(hops + 1):
+        override = mask_hook(k) if mask_hook is not None else None
+        res = process_hop(state, padded[k * 480 : (k + 1) * 480], bypass_mask=bypass_mask,
+                          bypass_pitch=bypass_pitch, mask_override=override)
+        outs.append(res.samples)
+        if k < hops:
+            dump.append((res.vad, res.mask))
+    mean_vad = float(np.mean([v for v, _ in dump])) if hops else 0.0
+    mean_gain = float(np.mean([float(np.mean(m)) for _, m in dump])) if hops else 0.0
+    return np.concatenate(outs[1:])[: len(x)], (hops, mean_vad, mean_gain), dump
+
+
+def assert_buffer_equals_hop_loop(model, x, **kwargs):
+    dump = []
+    got, stats = denoise_buffer(model, AudioBuffer(x), dump=dump, **kwargs)
+    want, want_stats, want_dump = manual_hop_loop(model, x, **kwargs)
+    np.testing.assert_array_equal(got.samples, want)
+    assert (stats.frames, stats.mean_vad, stats.mean_gain) == want_stats
+    assert len(dump) == len(want_dump)
+    for (vad, mask), (want_vad, want_mask) in zip(dump, want_dump):
+        assert vad == want_vad
+        np.testing.assert_array_equal(mask, want_mask)
+
+
+def _corpus():
+    rng = np.random.default_rng(661)
+    n = 480 * 40 + 211  # 41 hops: two analysis blocks, the second part full
+    t = np.arange(n)
+    return {
+        "speech": syn.speech_like(rng, 0.5)[:n],
+        "stationary_noise": syn.stationary_noise(rng, 0.5)[:n],
+        "babble": syn.babble_noise(rng, 0.5, voices=3)[:n],
+        "tone": syn.tone(220.0, 0.5)[:n],
+        "pulse_train": syn.pulse_train(150, n),
+        "digital_silence": np.zeros(n),
+        "dc": np.full(n, 0.25),
+        "square": np.where((t // 109) % 2 == 0, 1.0, -1.0),
+    }
+
+
+CORPUS = _corpus()
+MODELS = {dim: init_weights(13, dim) for dim in (REFERENCE_DIM, EXTENDED_DIM)}
+BYPASSES = [dict(bypass_mask=m, bypass_pitch=p) for m in (False, True) for p in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "bypass", BYPASSES, ids=lambda b: f"mask{int(b['bypass_mask'])}-pitch{int(b['bypass_pitch'])}"
+)
+@pytest.mark.parametrize("dim", list(MODELS))
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_buffer_equals_hop_loop_over_corpus(name, dim, bypass):
+    """Samples, stats and dump, bitwise, for every corpus, model mode and bypass."""
+    assert_buffer_equals_hop_loop(MODELS[dim], CORPUS[name], **bypass)
+
+
+@pytest.mark.parametrize("dim", list(MODELS))
+@pytest.mark.parametrize("n", [1, 479, 480, 481, 480 * 31, 480 * 32, 480 * 33])
+def test_buffer_equals_hop_loop_at_block_edges(n, dim):
+    """Lengths around one hop and around one 32-frame block (the flush hop adds a frame)."""
+    assert_buffer_equals_hop_loop(MODELS[dim], CORPUS["speech"][:n])
+
+
+@pytest.mark.parametrize("dim", list(MODELS))
+def test_buffer_equals_hop_loop_with_partial_mask_hook(dim):
+    """Injected masks on some hops, the network on the rest; its state holds across the injected hops."""
+    masks = np.random.default_rng(673).uniform(0.0, 1.0, (41 + 1, 22))
+    seen = []
+
+    def hook(k):
+        seen.append(k)
+        return masks[k] if k % 5 in (1, 2) or k >= 30 else None
+
+    assert_buffer_equals_hop_loop(MODELS[dim], CORPUS["speech"], mask_hook=hook)
+    assert seen == list(range(42)) * 2  # per path: 41 input hops plus the flush hop, in order
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_denoise_buffer_rejects_non_finite_samples(bad_value):
+    x = CORPUS["speech"].copy()
+    x[480 * 35 + 7] = bad_value  # in the second analysis block
+    with pytest.raises(ValueError, match="non-finite"):
+        denoise_buffer(MODELS[REFERENCE_DIM], AudioBuffer(x))
+
+
+@pytest.mark.parametrize("bad_mask", list(BAD_MASKS))
+def test_denoise_buffer_rejects_bad_hook_masks(bad_mask):
+    x = CORPUS["speech"][: 480 * 8]
+    with pytest.raises(ValueError, match="mask"):
+        denoise_buffer(MODELS[REFERENCE_DIM], AudioBuffer(x),
+                       mask_hook=lambda k: BAD_MASKS[bad_mask] if k == 3 else None)
+
+
+def test_mask_hook_called_once_per_hop_in_order():
+    for n in (0, 1, 480 * 31, 480 * 33 + 5):
+        seen = []
+        denoise_buffer(MODELS[EXTENDED_DIM], AudioBuffer(CORPUS["babble"][:n]),
+                       mask_hook=lambda k: seen.append(k))
+        assert seen == list(range((n + 479) // 480 + 1)), n
