@@ -107,8 +107,8 @@ def interpolate_gains(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape[-1:] != (NUM_BANDS,):
         raise ValueError(f"expected {NUM_BANDS} band values, got shape {mask.shape}")
-    if np.any(mask < 0.0):
-        raise ValueError("mask contains negative values; replace sentinels before interpolation")
+    if not np.all(mask >= 0.0):  # also catches NaN
+        raise ValueError("mask contains negative or NaN values; replace sentinels before interpolation")
     gains = np.vecmat(np.sqrt(mask), BAND_WEIGHTS)
     return gains.clip(0.0, 1.0)
 

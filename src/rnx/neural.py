@@ -337,7 +337,10 @@ class _Reader:
 
     def array(self, shape) -> np.ndarray:
         n = math.prod(shape)  # Python ints: a corrupt header's dims cannot wrap around
-        return np.frombuffer(self.take(4 * n), dtype="<f4").astype(np.float64).reshape(shape)
+        raw = np.frombuffer(self.take(4 * n), dtype="<f4")
+        if not np.isfinite(raw).all():
+            raise ModelFormatError("non-finite parameter value")
+        return raw.astype(np.float64).reshape(shape)
 
 
 def load_model(path) -> NetworkModel:

@@ -9,6 +9,21 @@ The band loss treats -1 targets as sentinels for bands with no usable
 evidence: they are excluded from every term and provably contribute zero
 gradient. All heavy math vectorizes over (batch, time); only the GRU
 recurrences run a per-step python loop.
+
+Callers pass batch-major (B, T, ...) arrays. The forward pass transposes
+the features once, and every cache, activation and gate delta inside the
+engine is time-major (T, B, ...), so each recurrence step reads and writes
+one contiguous (B, ...) slice. Parameter gradients sum over all T*B rows
+and need no transpose back.
+
+The recurrences flush subnormals: after each step, the hidden state, the
+backward carry and the z/r gate deltas have every entry with
+|v| < finfo(dtype).tiny set to 0. ReLU candidates are often exactly 0, and
+then h decays by the update gate z each frame, through the subnormal
+range. x86 CPUs take a slow microcode path on subnormal operands, and
+numpy offers no way to set flush-to-zero, so without this a float32 step
+runs about twice as long. The values changed are below 1.2e-38 in float32
+and below 2.3e-308 in float64.
 """
 
 from __future__ import annotations
@@ -60,19 +75,22 @@ def _mask_loss_terms(m, m_hat, gamma):
     valid = m >= 0
     ms = np.where(valid, m, 0.0)
 
-    m_log = np.log(np.clip(m_hat, LOG_FLOOR, 1.0))
+    m_clip = np.clip(m_hat, LOG_FLOOR, 1.0)
+    m_log = np.log(m_clip)
     mp = np.maximum(m_hat, POWER_FLOOR)
+    mp_gamma = mp**gamma
     diff = ms - m_hat
-    pow_gap = mp**gamma - ms**gamma
+    d2 = diff * diff  # integer powers as products: float32 ** is a slow exp/log
+    pow_gap = mp_gamma - ms**gamma
 
-    first = 10.0 * diff**4 + pow_gap**2 - 0.01 * ms * m_log
+    first = 10.0 * (d2 * d2) + pow_gap * pow_gap - 0.01 * ms * m_log
     second_w = np.abs(ms - 0.5) * ms  # second-sum weight, halves cancel the 2x
     per_band = (10.0 / n_bands) * first - (1.0 / n_bands) * second_w * m_log
     loss = np.sum(np.where(valid, per_band, 0.0), axis=-1)
 
-    dlog = np.where(m_hat > LOG_FLOOR, 1.0 / np.clip(m_hat, LOG_FLOOR, None), 0.0)
-    dpow = np.where(m_hat > POWER_FLOOR, gamma * mp ** (gamma - 1.0), 0.0)
-    dfirst = -40.0 * diff**3 + 2.0 * pow_gap * dpow - 0.01 * ms * dlog
+    dlog = np.where((m_hat > LOG_FLOOR) & (m_hat <= 1.0), 1.0 / m_clip, 0.0)
+    dpow = np.where(m_hat > POWER_FLOOR, gamma * mp_gamma / mp, 0.0)
+    dfirst = -40.0 * (d2 * diff) + 2.0 * pow_gap * dpow - 0.01 * ms * dlog
     grad = (10.0 / n_bands) * dfirst - (1.0 / n_bands) * second_w * dlog
     return loss, np.where(valid, grad, 0.0)
 
@@ -101,80 +119,79 @@ def binary_cross_entropy(target: float, pred: float) -> float:
     return float(value)
 
 
-def total_loss(frames_loss: float, vad_pred: float, vad_target: float, w_vad: float) -> float:
-    """Band loss plus weighted VAD cross-entropy for one frame."""
-    return float(frames_loss) + w_vad * binary_cross_entropy(vad_target, vad_pred)
-
-
 # ---------------------------------------------------------------------------
 # forward / backward engine
 
 
+def _flush_subnormals(a: np.ndarray) -> None:
+    """Zero, in place, every entry with |a| < finfo(a.dtype).tiny."""
+    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0.0
+
+
 def _act_forward(name, x):
+    """Recurrent activation of x, in place."""
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=x)
     raise ValueError(f"unsupported recurrent activation {name!r}")
 
 
 @dataclass
 class _GruCache:
-    x: np.ndarray  # (B, T, in)
-    h: np.ndarray  # (B, T+1, out), h[:, 0] is the initial state
-    z: np.ndarray
-    r: np.ndarray
-    c: np.ndarray
+    x: np.ndarray  # (T, B, in)
+    h: np.ndarray  # (T+1, B, out), h[0] is the initial state
+    zr: np.ndarray  # (T, B, 2*out): update gates z, then reset gates r
+    c: np.ndarray  # (T, B, out) candidates
 
     @property
     def out(self):
-        return self.h[:, 1:]
+        return self.h[1:]
 
 
 def _gru_scan(layer, x):
-    b, t, _ = x.shape
+    """Run one GRU over time-major inputs x (T, B, in) from a zero state."""
+    t, b, _ = x.shape
     u = layer.out_dim
     dtype = x.dtype
     gx = x @ layer.weights.T + layer.bias
-    u_zr = layer.recurrent[: 2 * u]
-    u_c = layer.recurrent[2 * u :]
-    h = np.zeros((b, t + 1, u), dtype=dtype)
-    z_all = np.empty((b, t, u), dtype=dtype)
-    r_all = np.empty((b, t, u), dtype=dtype)
-    c_all = np.empty((b, t, u), dtype=dtype)
-    h_t = h[:, 0]
+    u_zr = layer.recurrent[: 2 * u].T
+    u_c = layer.recurrent[2 * u :].T
+    h = np.zeros((t + 1, b, u), dtype=dtype)
+    zr = np.empty((t, b, 2 * u), dtype=dtype)
+    c = np.empty((t, b, u), dtype=dtype)
     for i in range(t):
-        zr = expit(gx[:, i, : 2 * u] + h_t @ u_zr.T)
-        z = zr[:, :u]
-        r = zr[:, u:]
-        c = _act_forward(layer.activation, gx[:, i, 2 * u :] + (r * h_t) @ u_c.T)
-        h_t = z * h_t + (1.0 - z) * c
-        z_all[:, i] = z
-        r_all[:, i] = r
-        c_all[:, i] = c
-        h[:, i + 1] = h_t
-    return _GruCache(x, h, z_all, r_all, c_all)
+        h_prev, h_t, zr_t, c_t = h[i], h[i + 1], zr[i], c[i]
+        expit(np.add(gx[i, :, : 2 * u], h_prev @ u_zr, out=zr_t), out=zr_t)
+        z = zr_t[:, :u]
+        _act_forward(layer.activation, np.add(gx[i, :, 2 * u :], (zr_t[:, u:] * h_prev) @ u_c, out=c_t))
+        np.multiply(z, h_prev, out=h_t)
+        h_t += (1.0 - z) * c_t
+        _flush_subnormals(h_t)
+    return _GruCache(x, h, zr, c)
 
 
 @dataclass
 class _ForwardCache:
-    feats: np.ndarray
+    feats: np.ndarray  # (T, B, F)
     dense: np.ndarray
     vad_gru: _GruCache
     noise_gru: _GruCache
     denoise_gru: _GruCache
-    mask: np.ndarray  # (B, T, 22)
-    vad: np.ndarray  # (B, T)
+    mask: np.ndarray  # (T, B, 22)
+    vad: np.ndarray  # (T, B)
 
 
 def _forward(model: neural.NetworkModel, feats: np.ndarray) -> _ForwardCache:
-    dense = np.tanh(feats @ model.dense_in.weights.T + model.dense_in.bias)
+    """Forward pass with caches over batch-major feats (B, T, F); caches are time-major."""
+    x = np.ascontiguousarray(feats.transpose(1, 0, 2))
+    dense = np.tanh(x @ model.dense_in.weights.T + model.dense_in.bias)
     g1 = _gru_scan(model.vad_gru, dense)
-    g2 = _gru_scan(model.noise_gru, np.concatenate((dense, g1.out, feats), axis=2))
-    g3 = _gru_scan(model.denoise_gru, np.concatenate((g1.out, g2.out, feats), axis=2))
+    g2 = _gru_scan(model.noise_gru, np.concatenate((dense, g1.out, x), axis=2))
+    g3 = _gru_scan(model.denoise_gru, np.concatenate((g1.out, g2.out, x), axis=2))
     mask = expit(g3.out @ model.gains_out.weights.T + model.gains_out.bias)
     vad = expit(g1.out @ model.vad_out.weights.T + model.vad_out.bias)[..., 0]
-    return _ForwardCache(feats, dense, g1, g2, g3, mask, vad)
+    return _ForwardCache(x, dense, g1, g2, g3, mask, vad)
 
 
 def _promote(feats, gains, vads):
@@ -186,56 +203,60 @@ def _promote(feats, gains, vads):
     return feats, gains, vads
 
 
+def _time_major_loss_terms(fw: _ForwardCache, gains, vads, gamma, vad_weight):
+    """Per-frame band loss, BCE, and their gradients, against (B, T, ...) targets."""
+    band, d_mask = _mask_loss_terms(gains.transpose(1, 0, 2), fw.mask, gamma)
+    bce, d_vad = _bce_terms(vads.T, fw.vad)
+    return band + vad_weight * bce, d_mask, d_vad
+
+
 def sequence_loss(model, feats, gains, vads, gamma=0.5, vad_weight=0.5) -> float:
     """Mean per-frame total loss over (batch of) sequences; forward only."""
     feats, gains, vads = _promote(feats, gains, vads)
-    fw = _forward(model, feats)
-    band, _ = _mask_loss_terms(gains, fw.mask, gamma)
-    bce, _ = _bce_terms(vads, fw.vad)
-    return float(np.mean(band + vad_weight * bce))
+    total, _, _ = _time_major_loss_terms(_forward(model, feats), gains, vads, gamma, vad_weight)
+    return float(np.mean(total))
 
 
-def _gru_backward(layer, cache: _GruCache, delta_out: np.ndarray):
-    """Backprop one GRU over its scan; returns (dW, dU, db, dX)."""
-    b, t, u = delta_out.shape
-    u_z = layer.recurrent[:u]
-    u_r = layer.recurrent[u : 2 * u]
+def _gru_gate_deltas(layer, cache: _GruCache, delta_out: np.ndarray) -> np.ndarray:
+    """Backprop one GRU's recurrence; returns the (T, B, 3*out) gate pre-activation deltas."""
+    t, b, u = delta_out.shape
     u_c = layer.recurrent[2 * u :]
     u_zr = layer.recurrent[: 2 * u]
-    d_az = np.empty_like(cache.z)
-    d_ar = np.empty_like(cache.z)
-    d_ac = np.empty_like(cache.z)
+    gates = np.empty((t, b, 3 * u), dtype=delta_out.dtype)
     carry = np.zeros((b, u), dtype=delta_out.dtype)
     relu = layer.activation == "relu"
     for i in range(t - 1, -1, -1):
-        delta = delta_out[:, i] + carry
-        h_prev = cache.h[:, i]
-        z = cache.z[:, i]
-        r = cache.r[:, i]
-        c = cache.c[:, i]
+        delta = delta_out[i] + carry
+        h_prev, c, g = cache.h[i], cache.c[i], gates[i]
+        z = cache.zr[i, :, :u]
+        r = cache.zr[i, :, u:]
+        d_zr = g[:, : 2 * u]
+        one_minus_z = 1.0 - z
         if relu:
-            dac = delta * (1.0 - z) * (c > 0)
+            np.multiply(delta * one_minus_z, c > 0, out=g[:, 2 * u :])
         else:
-            dac = delta * (1.0 - z) * (1.0 - c * c)
-        ds = dac @ u_c
-        daz = delta * (h_prev - c) * z * (1.0 - z)
-        dar = ds * h_prev * r * (1.0 - r)
-        carry = delta * z + ds * r + np.concatenate((daz, dar), axis=1) @ u_zr
-        d_az[:, i] = daz
-        d_ar[:, i] = dar
-        d_ac[:, i] = dac
-    gates = np.concatenate((d_az, d_ar, d_ac), axis=2).reshape(b * t, 3 * u)
-    x_flat = cache.x.reshape(b * t, -1)
-    h_prev_flat = cache.h[:, :t].reshape(b * t, u)
-    s_flat = (cache.r * cache.h[:, :t]).reshape(b * t, u)
-    d_w = gates.T @ x_flat
-    d_b = gates.sum(axis=0)
+            np.multiply(delta * one_minus_z, 1.0 - c * c, out=g[:, 2 * u :])
+        ds = g[:, 2 * u :] @ u_c
+        np.multiply(delta * (h_prev - c) * z, one_minus_z, out=d_zr[:, :u])
+        np.multiply(ds * h_prev * r, 1.0 - r, out=d_zr[:, u:])
+        _flush_subnormals(d_zr)
+        carry = delta * z + ds * r + d_zr @ u_zr
+        _flush_subnormals(carry)
+    return gates
+
+
+def _gru_backward(layer, cache: _GruCache, delta_out: np.ndarray):
+    """Backprop one GRU over its scan; returns (dW, dU, db, dX), dX time-major."""
+    t, b, u = delta_out.shape
+    gates = _gru_gate_deltas(layer, cache, delta_out).reshape(t * b, 3 * u)
+    h_prev = cache.h[:t].reshape(t * b, u)
+    s = (cache.zr[..., u:] * cache.h[:t]).reshape(t * b, u)
     d_u = np.empty_like(layer.recurrent)
-    d_u[:u] = d_az.reshape(b * t, u).T @ h_prev_flat
-    d_u[u : 2 * u] = d_ar.reshape(b * t, u).T @ h_prev_flat
-    d_u[2 * u :] = d_ac.reshape(b * t, u).T @ s_flat
-    d_x = (gates @ layer.weights).reshape(b, t, -1)
-    return d_w, d_u, d_b, d_x
+    d_u[: 2 * u] = gates[:, : 2 * u].T @ h_prev
+    d_u[2 * u :] = gates[:, 2 * u :].T @ s
+    d_w = gates.T @ cache.x.reshape(t * b, -1)
+    d_x = (gates @ layer.weights).reshape(t, b, -1)
+    return d_w, d_u, gates.sum(axis=0), d_x
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
@@ -270,9 +291,8 @@ def backward_tbptt(
         raise ValueError(f"feature width {feats.shape[2]} != model feature_dim {model.feature_dim}")
     fw = _forward(model, feats)
 
-    band, d_mask = _mask_loss_terms(gains, fw.mask, gamma)
-    bce, d_vad = _bce_terms(vads, fw.vad)
-    mean_loss = float(np.mean(band + vad_weight * bce))
+    total, d_mask, d_vad = _time_major_loss_terms(fw, gains, vads, gamma, vad_weight)
+    mean_loss = float(np.mean(total))
     scale = 1.0 / (b * t)
     d_mask = d_mask * scale
     d_vad = d_vad * (vad_weight * scale)
@@ -284,14 +304,14 @@ def backward_tbptt(
     grads: dict[str, np.ndarray] = {}
 
     da_g = d_mask * fw.mask * (1.0 - fw.mask)
-    h3_flat = fw.denoise_gru.out.reshape(b * t, -1)
-    grads["gains_out.W"] = da_g.reshape(b * t, -1).T @ h3_flat
+    h3_flat = fw.denoise_gru.out.reshape(t * b, -1)
+    grads["gains_out.W"] = da_g.reshape(t * b, -1).T @ h3_flat
     grads["gains_out.b"] = da_g.sum(axis=(0, 1))
     d_h3 = da_g @ model.gains_out.weights
 
     da_v = (d_vad * fw.vad * (1.0 - fw.vad))[..., None]
-    h1_flat = fw.vad_gru.out.reshape(b * t, -1)
-    grads["vad_out.W"] = da_v.reshape(b * t, 1).T @ h1_flat
+    h1_flat = fw.vad_gru.out.reshape(t * b, -1)
+    grads["vad_out.W"] = da_v.reshape(t * b, 1).T @ h1_flat
     grads["vad_out.b"] = da_v.sum(axis=(0, 1))
     d_h1 = da_v @ model.vad_out.weights
 
@@ -310,7 +330,7 @@ def backward_tbptt(
     d_dense = d_dense + d_x1
 
     da_d = d_dense * (1.0 - fw.dense * fw.dense)
-    grads["dense_in.W"] = da_d.reshape(b * t, -1).T @ feats.reshape(b * t, -1)
+    grads["dense_in.W"] = da_d.reshape(t * b, -1).T @ fw.feats.reshape(t * b, -1)
     grads["dense_in.b"] = da_d.sum(axis=(0, 1))
 
     if not np.isfinite(mean_loss):

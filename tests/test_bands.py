@@ -146,6 +146,15 @@ def test_interpolate_rejects_sentinels():
         bands.interpolate_gains(m)
 
 
+def test_interpolate_rejects_nan():
+    m = np.ones(22)
+    m[5] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        bands.interpolate_gains(m)
+    with pytest.raises(ValueError, match="NaN"):
+        bands.interpolate_gains(np.full((3, 22), np.nan))
+
+
 def test_interpolate_monotone_in_each_band():
     rng = np.random.default_rng(43)
     m = rng.uniform(0.0, 0.9, 22)

@@ -322,6 +322,20 @@ def test_load_rejects_version_and_flag_mismatch(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_nonfinite_parameters(tmp_path):
+    path = tmp_path / "n.rnxm"
+    save_model(init_weights(0, EXTENDED_DIM), path)
+    good = path.read_bytes()
+    # the file ends with the gains_out bias: make its last value a float32 NaN
+    path.write_bytes(good[:-4] + bytes.fromhex("0000c07f"))
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        load_model(path)
+    # +inf in the first stored feature mean (right after the 16-byte header)
+    path.write_bytes(good[:16] + bytes.fromhex("0000807f") + good[20:])
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        load_model(path)
+
+
 def test_layer_params_validation():
     with pytest.raises(ModelFormatError):
         LayerParams("x", "dense", "tanh", 3, 2, np.zeros((2, 4)), None, np.zeros(2))

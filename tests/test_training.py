@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from rnx import training
 from rnx.dataset import FeatureDataset
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM
-from rnx.neural import HiddenState, init_weights, network_forward
+from rnx.neural import HiddenState, build_model, init_weights, network_forward
 from rnx.training import (
+    POWER_FLOOR,
     AdamState,
     TrainConfig,
     adam_update,
@@ -15,7 +17,6 @@ from rnx.training import (
     clip_gradients,
     loss,
     sequence_loss,
-    total_loss,
     train,
 )
 
@@ -81,6 +82,66 @@ def test_loss_log_floor_keeps_it_finite():
     assert abs(val - oracle_band_loss(np.ones(4), np.zeros(4), 0.5)) < 1e-12
 
 
+def edge_case_frames():
+    """(targets, predictions) frames that visit every branch of the band loss."""
+    rng = np.random.default_rng(331)
+    m = rng.uniform(0.0, 1.0, (12, 22))
+    m_hat = rng.uniform(0.0, 1.0, (12, 22))
+    m[:, :3] = -1.0  # sentinel bands
+    m[:, 3] = 0.0
+    m[:, 4] = 1.0
+    m_hat[:, 5] = 0.0
+    m_hat[:, 6] = 0.5 * POWER_FLOOR
+    m_hat[:, 7] = -0.3  # at or below POWER_FLOOR, and below the log floor
+    m_hat[:, 8] = 5e-8  # between POWER_FLOOR and the log floor
+    m_hat[:, 9] = 1.0
+    m_hat[:, 10] = 1.4
+    m[-1] = -1.0  # one all-sentinel frame
+    return m, m_hat
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
+def test_mask_loss_terms_match_oracle(gamma):
+    m, m_hat = edge_case_frames()
+    diff = m - m_hat
+    assert np.any(diff[m >= 0] < 0) and np.any(diff[m >= 0] > 0)
+    values, _ = training._mask_loss_terms(m, m_hat, gamma)
+    assert values.dtype == np.float64
+    for row, got in zip(zip(m, m_hat), values):
+        assert abs(got - oracle_band_loss(*row, gamma)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
+def test_mask_loss_gradient_matches_central_differences(gamma):
+    m, m_hat = edge_case_frames()
+    # points at or under POWER_FLOOR are probed on the negative side, where a
+    # step cannot cross the floors; 0, POWER_FLOOR/2 and the kink at 1.0 are
+    # left to the value test
+    m_hat[:, 5] = -0.05
+    m_hat[:, 6] = -1e-3
+    m_hat[:, 9] = 0.999
+    _, grad = training._mask_loss_terms(m, m_hat, gamma)
+    for frame in range(len(m)):
+        for band in range(22):
+            # every other band a sentinel: the loss is this band's term alone
+            target = np.full(22, -1.0)
+            target[band] = m[frame, band]
+            step = 1e-4 * abs(m_hat[frame, band])
+            up = m_hat[frame].copy()
+            down = m_hat[frame].copy()
+            up[band] += step
+            down[band] -= step
+            fd = (loss(target, up, gamma) - loss(target, down, gamma)) / (2.0 * step)
+            g = grad[frame, band]
+            if m[frame, band] < 0:
+                assert g == 0.0 and fd == 0.0
+                continue
+            # truncation error, plus the rounding error of the difference quotient
+            value = abs(loss(target, m_hat[frame], gamma))
+            tol = 1e-6 * max(1.0, abs(fd)) + 4.0 * np.finfo(float).eps * max(1.0, value) / step
+            assert abs(g - fd) <= tol, (frame, band, g, fd)
+
+
 def test_bce_values():
     assert abs(binary_cross_entropy(1.0, 0.5) - math.log(2.0)) < 1e-15
     assert abs(binary_cross_entropy(0.0, 0.5) - math.log(2.0)) < 1e-15
@@ -90,12 +151,6 @@ def test_bce_values():
     assert abs(binary_cross_entropy(0.0, 1.0) + math.log1p(-(1.0 - 1e-7))) < 1e-12
     # symmetry under label/prediction complement
     assert abs(binary_cross_entropy(1.0, 0.3) - binary_cross_entropy(0.0, 0.7)) < 1e-15
-
-
-def test_total_loss_composition():
-    got = total_loss(2.5, 0.5, 1.0, 0.5)
-    assert abs(got - (2.5 + 0.5 * math.log(2.0))) < 1e-15
-    assert total_loss(1.0, 0.7, 1.0, 0.0) == 1.0
 
 
 def test_adam_first_step_moves_by_lr():
@@ -221,6 +276,74 @@ def test_forward_cache_agrees_with_streaming_forward():
         mask, _, state = network_forward(model, feats[0, t], state)
         acc.append(loss(np.ones(22), mask, 0.5))
     assert abs(val - np.mean(acc)) < 1e-10
+
+
+def decaying_model(dtype):
+    """Small ReLU-GRU model whose states decay through the float32 subnormals.
+
+    Each GRU's candidate is positive on a +1 frame and cut to 0 by the ReLU on
+    -1 frames, and a large positive update-gate bias makes h decay by
+    z = expit(2) ~ 0.88 per frame after that.
+    """
+    model = build_model(REFERENCE_DIM, widths=(4, 3, 5, 6), seed=0)
+    model.dense_in.weights[:] = 0.5
+    for layer in (model.vad_gru, model.noise_gru, model.denoise_gru):
+        u = layer.out_dim
+        layer.weights[: 2 * u] = 0.0
+        layer.weights[2 * u :] = 0.5
+        layer.recurrent[:] = 0.0
+        layer.bias[:u] = 2.0
+    training._set_precision(model, dtype)
+    return model
+
+
+def decaying_batch(dtype, t=900):
+    feats = -np.ones((2, t, REFERENCE_DIM))
+    feats[:, 0] = 1.0
+    feats[1, :5] = 1.0
+    gains = np.random.default_rng(397).uniform(0.0, 1.0, size=(2, t, 22))
+    vads = np.ones((2, t))
+    return feats.astype(dtype), gains.astype(dtype), vads.astype(dtype)
+
+
+def run_recording_gates(dtype, monkeypatch):
+    recorded = []
+    original = training._gru_gate_deltas
+
+    def record(layer, cache, delta_out):
+        gates = original(layer, cache, delta_out)
+        recorded.append((cache.h, gates[..., : 2 * layer.out_dim]))  # z and r deltas
+        return gates
+
+    monkeypatch.setattr(training, "_gru_gate_deltas", record)
+    grads, value = backward_tbptt(decaying_model(dtype), *decaying_batch(dtype), clip_norm=None)
+    monkeypatch.undo()
+    return grads, value, recorded
+
+
+def test_float32_subnormals_are_flushed(monkeypatch):
+    tiny = np.finfo(np.float32).tiny
+
+    def subnormal(a):
+        return np.count_nonzero((a != 0) & (np.abs(a) < tiny))
+
+    # the float64 run keeps every value: the batch really passes through
+    # the float32 subnormal range in the states and in the z/r gate deltas
+    grads64, loss64, ref = run_recording_gates(np.float64, monkeypatch)
+    assert all(subnormal(h) > 0 for h, _ in ref)
+    assert sum(subnormal(g) > 0 for _, g in ref) >= 2
+
+    grads32, loss32, got = run_recording_gates(np.float32, monkeypatch)
+    assert len(got) == 3
+    for h, d_zr in got:
+        assert h.dtype == d_zr.dtype == np.float32
+        assert subnormal(h) == 0 and subnormal(d_zr) == 0
+
+    # flushing changes nothing above float32 rounding
+    assert abs(loss32 - loss64) <= 1e-6 * abs(loss64)
+    for key, g64 in grads64.items():
+        assert grads32[key].dtype == np.float32
+        np.testing.assert_allclose(grads32[key], g64, rtol=1e-4, atol=1e-6 * np.abs(g64).max(), err_msg=key)
 
 
 def synthetic_dataset(rng, n, dim):
