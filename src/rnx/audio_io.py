@@ -83,8 +83,12 @@ def load_audio(path, format: str | None = None) -> AudioBuffer:
 
     try:
         rate, data = wavfile.read(path)
-    except ValueError as exc:
-        raise AudioFormatError(f"unreadable WAV file {path!r}: {exc}") from exc
+    except OSError:
+        raise  # a missing or unreadable file, not a malformed one
+    except Exception as exc:
+        # scipy's parser lets struct.error, ZeroDivisionError and
+        # UnboundLocalError escape on corrupt headers, besides ValueError
+        raise AudioFormatError(f"unreadable WAV file {path!r}: {exc!r}") from exc
     if rate != SAMPLE_RATE:
         raise AudioFormatError(
             f"unsupported sample rate {rate} Hz in {path!r} (need {SAMPLE_RATE} Hz)"

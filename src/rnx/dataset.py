@@ -158,6 +158,8 @@ def load_feature_file(path) -> FeatureDataset:
     if len(data) != head + count * row_bytes:
         raise FeatureFileError("feature file size does not match frame count")
     rows = np.frombuffer(data[head:], dtype="<f4").reshape(count, feature_dim + TARGET_DIM)
+    if not np.isfinite(rows).all():
+        raise FeatureFileError("non-finite value in feature rows")
     rows = rows.astype(np.float64)
     return FeatureDataset(
         feature_dim,

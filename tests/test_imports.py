@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -16,3 +17,11 @@ def test_runtime_modules_do_not_import_scipy_signal():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_training_imports_no_scipy():
+    # the training engine's logistic is numpy; scipy stays out of its imports
+    tree = ast.parse((SRC / "rnx" / "training.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] == "scipy"]

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rnx import training
 from rnx.dataset import FeatureDataset
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM
-from rnx.neural import HiddenState, build_model, init_weights, network_forward
+from rnx.neural import HiddenState, build_model, init_weights, network_block, network_forward
 from rnx.training import (
     POWER_FLOOR,
     AdamState,
@@ -276,6 +278,76 @@ def test_forward_cache_agrees_with_streaming_forward():
         mask, _, state = network_forward(model, feats[0, t], state)
         acc.append(loss(np.ones(22), mask, 0.5))
     assert abs(val - np.mean(acc)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [REFERENCE_DIM, EXTENDED_DIM])
+def test_training_forward_equals_network_block(dim):
+    # float64 training forward (GEMMs, folded logistic, h = c + z(h - c))
+    # against the inference block path (per-row products, expit), sequence
+    # by sequence
+    rng = np.random.default_rng(401)
+    model = init_weights(12, dim)
+    feats = rng.normal(size=(3, 200, dim))
+    fw = training._forward(model, feats)
+    for i in range(3):
+        masks, vads, _ = network_block(model, feats[i], HiddenState.zeros(model))
+        np.testing.assert_allclose(fw.mask[:, i], masks, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fw.vad[:, i], vads, rtol=0, atol=1e-12)
+
+
+def saturating_model(dtype, seed):
+    """Standard model whose z/r gates and heads see pre-activations beyond +-100."""
+    rng = np.random.default_rng(seed)
+    model = init_weights(seed, REFERENCE_DIM)
+
+    def extreme(n):
+        return rng.choice([-1.0, 1.0], size=n) * rng.uniform(100.0, 1000.0, size=n)
+
+    for layer in (model.vad_gru, model.noise_gru, model.denoise_gru):
+        layer.bias[: 2 * layer.out_dim] = extreme(2 * layer.out_dim)
+    for layer in (model.gains_out, model.vad_out):
+        layer.bias[:] = extreme(layer.out_dim)
+    training._set_precision(model, dtype)
+    return model
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_saturated_gates_raise_no_warning(dtype):
+    rng = np.random.default_rng(409)
+    model = saturating_model(dtype, 13)
+    feats, gains, vads = (a.astype(dtype) for a in tiny_batch(rng, b=2, t=20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fw = training._forward(model, feats)
+        grads, value = backward_tbptt(model, feats, gains, vads, clip_norm=None)
+    assert np.isfinite(value)
+    for key, g in grads.items():
+        assert np.all(np.isfinite(g)), key
+    for cache in (fw.vad_gru, fw.noise_gru, fw.denoise_gru):
+        assert cache.zr.dtype == dtype
+        assert np.all((cache.zr >= 0.0) & (cache.zr <= 1.0))
+        # saturated both ways: some gates are exactly 0, others exactly 1
+        assert np.any(cache.zr == 0.0) and np.any(cache.zr == 1.0)
+
+
+def test_scan_gates_match_expit_within_4_ulp():
+    rng = np.random.default_rng(419)
+    model = init_weights(14, EXTENDED_DIM)
+    for layer in model.layers():
+        layer.weights *= 4.0
+        if layer.recurrent is not None:
+            layer.recurrent *= 4.0  # z/r pre-activations reach about +-20
+    training._set_precision(model, np.float32)
+    fw = training._forward(model, rng.normal(size=(4, 50, EXTENDED_DIM)).astype(np.float32))
+    for layer, cache in ((model.vad_gru, fw.vad_gru), (model.noise_gru, fw.noise_gru),
+                         (model.denoise_gru, fw.denoise_gru)):
+        u = layer.out_dim
+        # the scan's own products, un-negated: negation is exact in every step
+        gx = training._rows_times(cache.x, layer.weights.T) + layer.bias
+        u_zr = np.ascontiguousarray(layer.recurrent[: 2 * u].T)
+        pre = np.stack([gx[i, :, : 2 * u] + cache.h[i] @ u_zr for i in range(len(gx))])
+        assert np.abs(pre).max() > 10.0
+        np.testing.assert_array_max_ulp(cache.zr, expit(pre), maxulp=4)
 
 
 def decaying_model(dtype):
