@@ -71,8 +71,9 @@ def load_audio(path, format: str | None = None) -> AudioBuffer:
 
     WAV input must be mono, 48 kHz, and either PCM-16 or float-32; anything
     else raises AudioFormatError with a diagnostic naming the offending
-    property. RAW input is headerless PCM-16 little-endian and is trusted to
-    be 48 kHz mono.
+    property, and so does a data chunk shorter than its header declares;
+    unknown chunks are skipped. RAW input is headerless PCM-16
+    little-endian and is trusted to be 48 kHz mono.
     """
     fmt = format if format is not None else _format_from_path(path)
     if fmt == "raw":
@@ -82,7 +83,9 @@ def load_audio(path, format: str | None = None) -> AudioBuffer:
         raise AudioFormatError(f"unknown audio format {fmt!r}")
 
     try:
-        rate, data = wavfile.read(path)
+        # memory-mapped, a truncated data chunk raises; read into memory,
+        # scipy would return the samples it found
+        rate, data = wavfile.read(path, mmap=True)
     except OSError:
         raise  # a missing or unreadable file, not a malformed one
     except Exception as exc:

@@ -1,17 +1,16 @@
-"""Frame-level transforms: windowed analysis, synthesis, and the DCT pair.
+"""Frame-level transforms: windowed analysis, synthesis, and the DCT.
 
 The stream is cut into 960-sample (20 ms) frames hopped by 480 samples, so
 consecutive frames overlap by half. Both analysis and synthesis apply the
 same sine-of-sine window; its squared values at offsets n and n+480 sum to
 one, which is what makes plain overlap-add reconstruction exact.
 
-The DCT pair runs on short band vectors (22 values), so it is a product
-with an orthonormal N x N DCT-II matrix, built once per length N and
-cached (the inverse is the product with its transpose). For vectors this
-short one small product costs far less than a general transform call,
-and the two agree up to rounding. A stack of vectors takes one
-matrix-vector product per row, so each row is bitwise equal to its own
-call.
+The DCT runs on short band vectors (22 values), so it is a product with
+an orthonormal N x N DCT-II matrix, built once per length N and cached.
+For vectors this short one small product costs far less than a general
+transform call, and the two agree up to rounding. A stack of vectors
+takes one matrix-vector product per row, so each row is bitwise equal to
+its own call.
 """
 
 from __future__ import annotations
@@ -98,9 +97,3 @@ def dct_ii(values: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II along the last axis."""
     values = np.asarray(values, dtype=np.float64)
     return np.matvec(_dct_matrix(values.shape[-1]), values)
-
-
-def idct_ii(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of dct_ii (orthonormal DCT-III)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    return np.vecmat(coeffs, _dct_matrix(coeffs.shape[-1]))

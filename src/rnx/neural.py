@@ -12,21 +12,38 @@ GRU convention, gate order [update z, reset r, candidate c]:
     z = sigmoid(Wz x + Uz h + bz)
     r = sigmoid(Wr x + Ur h + br)
     c = act(Wc x + Uc (r * h) + bc)
-    h' = z * h + (1 - z) * c
+    h' = z * h + (1 - z) * c = c + z * (h - c)
 
 Weights live in float64 in memory and as float32 in the model file; fresh
 models are rounded through float32 at init so a save/load round trip is
 bit-exact.
+
+One recurrence step serves every driver: `gru_recur` runs it once per
+hop, `gru_scan` over a block of frames or a training batch. The caller
+computes the input gates and picks the recurrent operands: inference
+multiplies by views of the transposed weights, which keeps a block
+bitwise equal to its hops (a C-contiguous copy changes the bits);
+training multiplies its (B, u) batches by C-contiguous copies, which took
+half the time of the views.
+
+The logistic is numpy's exp, +1 and reciprocal of -a in place, a third of
+the time of scipy's expit on batched float32 gates. exp overflows to inf
+for a < -88 in float32 (-709 in float64), giving exactly 0; callers of
+the drivers silence that with np.errstate(over="ignore").
+
+Each step sets every state entry with |h| < finfo(dtype).tiny to 0. A
+ReLU candidate is often exactly 0, and h then decays by z each frame into
+the subnormal range, where x86 takes a slow microcode path that numpy
+cannot switch off (a float32 training step took about twice as long).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM, FeatureStats
 
@@ -47,14 +64,23 @@ class ModelFormatError(ValueError):
     """Raised for malformed model files or inconsistent layer wiring."""
 
 
-def _activation(name: str):
+def activate(name: str, a: np.ndarray) -> np.ndarray:
+    """The activation `name` of a, in place; returns a."""
     if name == "tanh":
-        return np.tanh
+        return np.tanh(a, out=a)
     if name == "relu":
-        return lambda x: np.maximum(x, 0.0)
+        return np.maximum(a, 0.0, out=a)
     if name == "sigmoid":
-        return expit
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        return np.reciprocal(a, out=a)
     raise ValueError(f"unknown activation {name!r}")
+
+
+def flush_subnormals(a: np.ndarray, tiny) -> None:
+    """Zero, in place, every entry with |a| < tiny; callers pass finfo(a.dtype).tiny."""
+    a[np.abs(a) < tiny] = 0.0
 
 
 @dataclass
@@ -157,7 +183,7 @@ def dense_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"layer {layer.name}: input width {x.shape[-1]} != {layer.in_dim}")
-    return _activation(layer.activation)(np.matvec(layer.weights, x) + layer.bias)
+    return activate(layer.activation, np.matvec(layer.weights, x) + layer.bias)
 
 
 def gru_input(layer: LayerParams, x: np.ndarray) -> np.ndarray:
@@ -168,13 +194,47 @@ def gru_input(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     return np.matvec(layer.weights, x) + layer.bias
 
 
+def _gru_step(activation, gates_x, h, u_zr, u_c, zr, c, h_out, tiny) -> None:
+    """One step from input gates and state h into zr, c, h_out; u_zr, u_c are U[:2u].T, U[2u:].T."""
+    u = h.shape[-1]
+    activate("sigmoid", np.add(gates_x[..., : 2 * u], h @ u_zr, out=zr))
+    activate(activation, np.add(gates_x[..., 2 * u :], (zr[..., u:] * h) @ u_c, out=c))
+    np.subtract(h, c, out=h_out)
+    h_out *= zr[..., :u]
+    h_out += c
+    flush_subnormals(h_out, tiny)
+
+
 def gru_recur(layer: LayerParams, gates_x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One recurrence step from the input gates gru_input(layer, x) and the state h."""
     u = layer.out_dim
-    zr = expit(gates_x[..., : 2 * u] + h @ layer.recurrent[: 2 * u].T)
-    z, r = zr[..., :u], zr[..., u:]
-    c = _activation(layer.activation)(gates_x[..., 2 * u :] + (r * h) @ layer.recurrent[2 * u :].T)
-    return z * h + (1.0 - z) * c
+    h_out = np.empty_like(h)
+    zr = np.empty(h.shape[:-1] + (2 * u,), h.dtype)
+    u_zr, u_c = layer.recurrent[: 2 * u].T, layer.recurrent[2 * u :].T
+    _gru_step(layer.activation, gates_x, h, u_zr, u_c, zr, np.empty_like(h), h_out, np.finfo(h.dtype).tiny)
+    return h_out
+
+
+def gru_scan(layer: LayerParams, gates_x: np.ndarray, h0: np.ndarray, recurrent=None):
+    """gru_recur over the leading time axis of input gates (T, ..., 3u) from the state h0 (..., u).
+
+    Returns the states h (T+1, ..., u) with h[0] = h0, the z then r gates
+    zr (T, ..., 2u) and the candidates c (T, ..., u). `recurrent` is the
+    pair (U[:2u].T, U[2u:].T), views of layer.recurrent by default.
+    """
+    u = layer.out_dim
+    if recurrent is None:
+        recurrent = layer.recurrent[: 2 * u].T, layer.recurrent[2 * u :].T
+    u_zr, u_c = recurrent
+    t, lead, dtype = len(gates_x), gates_x.shape[1:-1], gates_x.dtype
+    h = np.empty((t + 1, *lead, u), dtype)
+    h[0] = h0
+    zr = np.empty((t, *lead, 2 * u), dtype)
+    c = np.empty((t, *lead, u), dtype)
+    tiny = np.finfo(dtype).tiny
+    for i in range(t):
+        _gru_step(layer.activation, gates_x[i], h[i], u_zr, u_c, zr[i], c[i], h[i + 1], tiny)
+    return h, zr, c
 
 
 def gru_step(layer: LayerParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -196,23 +256,16 @@ def network_forward(model: NetworkModel, features: np.ndarray, state: HiddenStat
         raise ValueError(
             f"feature width {features.shape} does not match model feature_dim {model.feature_dim}"
         )
-    dense = dense_forward(model.dense_in, features)
-    h_vad = gru_step(model.vad_gru, dense, state.h_vad)
-    vad = float(dense_forward(model.vad_out, h_vad)[0])
-    h_noise = gru_step(model.noise_gru, np.concatenate((dense, h_vad, features)), state.h_noise)
-    h_denoise = gru_step(
-        model.denoise_gru, np.concatenate((h_vad, h_noise, features)), state.h_denoise
-    )
-    mask = dense_forward(model.gains_out, h_denoise)
+    with np.errstate(over="ignore"):
+        dense = dense_forward(model.dense_in, features)
+        h_vad = gru_step(model.vad_gru, dense, state.h_vad)
+        vad = float(dense_forward(model.vad_out, h_vad)[0])
+        h_noise = gru_step(model.noise_gru, np.concatenate((dense, h_vad, features)), state.h_noise)
+        h_denoise = gru_step(
+            model.denoise_gru, np.concatenate((h_vad, h_noise, features)), state.h_denoise
+        )
+        mask = dense_forward(model.gains_out, h_denoise)
     return mask, vad, HiddenState(h_vad, h_noise, h_denoise)
-
-
-def _recur_frames(layer: LayerParams, gates_x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """gru_recur over consecutive frames' input gates; returns every frame's state."""
-    states = np.empty((len(gates_x), layer.out_dim))
-    for i, gates in enumerate(gates_x):
-        h = states[i] = gru_recur(layer, gates, h)
-    return states
 
 
 def network_block(model: NetworkModel, features: np.ndarray, state: HiddenState):
@@ -228,14 +281,15 @@ def network_block(model: NetworkModel, features: np.ndarray, state: HiddenState)
         raise ValueError(
             f"feature block {features.shape} is not (k >= 1, feature_dim {model.feature_dim})"
         )
-    dense = dense_forward(model.dense_in, features)
-    h_vad = _recur_frames(model.vad_gru, gru_input(model.vad_gru, dense), state.h_vad)
-    vads = dense_forward(model.vad_out, h_vad)[:, 0]
-    noise_in = gru_input(model.noise_gru, np.hstack((dense, h_vad, features)))
-    h_noise = _recur_frames(model.noise_gru, noise_in, state.h_noise)
-    denoise_in = gru_input(model.denoise_gru, np.hstack((h_vad, h_noise, features)))
-    h_denoise = _recur_frames(model.denoise_gru, denoise_in, state.h_denoise)
-    masks = dense_forward(model.gains_out, h_denoise)
+    with np.errstate(over="ignore"):
+        dense = dense_forward(model.dense_in, features)
+        h_vad = gru_scan(model.vad_gru, gru_input(model.vad_gru, dense), state.h_vad)[0][1:]
+        vads = dense_forward(model.vad_out, h_vad)[:, 0]
+        noise_in = gru_input(model.noise_gru, np.hstack((dense, h_vad, features)))
+        h_noise = gru_scan(model.noise_gru, noise_in, state.h_noise)[0][1:]
+        denoise_in = gru_input(model.denoise_gru, np.hstack((h_vad, h_noise, features)))
+        h_denoise = gru_scan(model.denoise_gru, denoise_in, state.h_denoise)[0][1:]
+        masks = dense_forward(model.gains_out, h_denoise)
     return masks, vads, HiddenState(h_vad[-1], h_noise[-1], h_denoise[-1])
 
 

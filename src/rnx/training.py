@@ -16,25 +16,11 @@ engine is time-major (T, B, ...), so each recurrence step reads and writes
 one contiguous (B, ...) slice. Parameter gradients sum over all T*B rows
 and need no transpose back.
 
-The recurrences flush subnormals: after each step, the hidden state, the
-backward carry and the z/r gate deltas have every entry with
-|v| < finfo(dtype).tiny set to 0. ReLU candidates are often exactly 0, and
-then h decays by the update gate z each frame, through the subnormal
-range. x86 CPUs take a slow microcode path on subnormal operands, and
-numpy offers no way to set flush-to-zero, so without this a float32 step
-runs about twice as long. The values changed are below 1.2e-38 in float32
-and below 2.3e-308 in float64.
-
-The logistic is numpy's exp, +1 and reciprocal, written in place, about a
-third of the time of scipy's expit on the batched float32 gates. Its
-negation is folded into the operands once per scan: the z/r columns of the
-input gates and a copy of the z/r recurrent weights are negated, so each
-step computes 1 / (1 + exp(-a)) with no extra pass. exp overflows to inf
-for a < -88 in float32 (-709 in float64), and the gate is then exactly 0.
-The recurrent weights are multiplied as C-contiguous copies of their
-transposes, made once per scan; a product with the transposed view took
-about twice as long. Every other product over (T, B, ...) arrays runs as
-one (T*B, ...) GEMM.
+The forward recurrence is `neural.gru_scan`, the step the denoiser runs,
+with its logistic and its flush of subnormal states (see `neural`); this
+module computes the input gates and the heads over (T, B, ...) arrays as
+one (T*B, ...) GEMM each. The backward pass flushes its carry and its z/r
+gate deltas the same way.
 """
 
 from __future__ import annotations
@@ -133,21 +119,6 @@ def binary_cross_entropy(target: float, pred: float) -> float:
 # forward / backward engine
 
 
-def _flush_subnormals(a: np.ndarray, tiny) -> None:
-    """Zero, in place, every entry with |a| < tiny; callers pass finfo(a.dtype).tiny."""
-    a[np.abs(a) < tiny] = 0.0
-
-
-def _logistic_of_negated(a: np.ndarray) -> np.ndarray:
-    """a <- 1 / (1 + exp(a)), the logistic of -a, in place.
-
-    Callers silence the overflow of exp: it yields inf, and then exactly 0.
-    """
-    np.exp(a, out=a)
-    a += 1.0
-    return np.reciprocal(a, out=a)
-
-
 def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w over the last axis of x (..., in), as one 2-D GEMM.
 
@@ -157,13 +128,11 @@ def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
-def _act_forward(name, x):
-    """Recurrent activation of x, in place."""
-    if name == "relu":
-        return np.maximum(x, 0.0, out=x)
-    if name == "tanh":
-        return np.tanh(x, out=x)
-    raise ValueError(f"unsupported recurrent activation {name!r}")
+def _dense_rows(layer, x):
+    """A dense layer over the rows of x (..., in)."""
+    a = _rows_times(x, layer.weights.T)
+    a += layer.bias
+    return neural.activate(layer.activation, a)
 
 
 @dataclass
@@ -180,29 +149,12 @@ class _GruCache:
 
 def _gru_scan(layer, x):
     """Run one GRU over time-major inputs x (T, B, in) from a zero state."""
-    t, b, _ = x.shape
     u = layer.out_dim
-    dtype = x.dtype
     gx = _rows_times(x, layer.weights.T)
     gx += layer.bias
-    np.negative(gx[..., : 2 * u], out=gx[..., : 2 * u])
-    neg_u_zr = np.ascontiguousarray(-layer.recurrent[: 2 * u].T)
-    u_c = np.ascontiguousarray(layer.recurrent[2 * u :].T)
-    h = np.zeros((t + 1, b, u), dtype=dtype)
-    zr = np.empty((t, b, 2 * u), dtype=dtype)
-    c = np.empty((t, b, u), dtype=dtype)
-    tiny = np.finfo(dtype).tiny
-    with np.errstate(over="ignore"):
-        for i in range(t):
-            h_prev, h_t, zr_t, c_t = h[i], h[i + 1], zr[i], c[i]
-            _logistic_of_negated(np.add(gx[i, :, : 2 * u], h_prev @ neg_u_zr, out=zr_t))
-            z = zr_t[:, :u]
-            _act_forward(layer.activation, np.add(gx[i, :, 2 * u :], (zr_t[:, u:] * h_prev) @ u_c, out=c_t))
-            # h = z * h_prev + (1 - z) * c
-            np.subtract(h_prev, c_t, out=h_t)
-            h_t *= z
-            h_t += c_t
-            _flush_subnormals(h_t, tiny)
+    recurrent = (np.ascontiguousarray(layer.recurrent[: 2 * u].T),
+                 np.ascontiguousarray(layer.recurrent[2 * u :].T))
+    h, zr, c = neural.gru_scan(layer, gx, np.zeros((x.shape[1], u), x.dtype), recurrent)
     return _GruCache(x, h, zr, c)
 
 
@@ -220,16 +172,13 @@ class _ForwardCache:
 def _forward(model: neural.NetworkModel, feats: np.ndarray) -> _ForwardCache:
     """Forward pass with caches over batch-major feats (B, T, F); caches are time-major."""
     x = np.ascontiguousarray(feats.transpose(1, 0, 2))
-    dense = _rows_times(x, model.dense_in.weights.T)
-    dense += model.dense_in.bias
-    np.tanh(dense, out=dense)
-    g1 = _gru_scan(model.vad_gru, dense)
-    g2 = _gru_scan(model.noise_gru, np.concatenate((dense, g1.out, x), axis=2))
-    g3 = _gru_scan(model.denoise_gru, np.concatenate((g1.out, g2.out, x), axis=2))
     with np.errstate(over="ignore"):
-        # -b - hW^T is exactly -(hW^T + b): rounding is symmetric in sign
-        mask = _logistic_of_negated(-model.gains_out.bias - _rows_times(g3.out, model.gains_out.weights.T))
-        vad = _logistic_of_negated(-model.vad_out.bias - _rows_times(g1.out, model.vad_out.weights.T))[..., 0]
+        dense = _dense_rows(model.dense_in, x)
+        g1 = _gru_scan(model.vad_gru, dense)
+        g2 = _gru_scan(model.noise_gru, np.concatenate((dense, g1.out, x), axis=2))
+        g3 = _gru_scan(model.denoise_gru, np.concatenate((g1.out, g2.out, x), axis=2))
+        mask = _dense_rows(model.gains_out, g3.out)
+        vad = _dense_rows(model.vad_out, g1.out)[..., 0]
     return _ForwardCache(x, dense, g1, g2, g3, mask, vad)
 
 
@@ -279,9 +228,9 @@ def _gru_gate_deltas(layer, cache: _GruCache, delta_out: np.ndarray) -> np.ndarr
         ds = g[:, 2 * u :] @ u_c
         np.multiply(delta * (h_prev - c) * z, one_minus_z, out=d_zr[:, :u])
         np.multiply(ds * h_prev * r, 1.0 - r, out=d_zr[:, u:])
-        _flush_subnormals(d_zr, tiny)
+        neural.flush_subnormals(d_zr, tiny)
         carry = delta * z + ds * r + d_zr @ u_zr
-        _flush_subnormals(carry, tiny)
+        neural.flush_subnormals(carry, tiny)
     return gates
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -74,6 +76,25 @@ def test_float32_wav_loads(tmp_path):
     wavfile.write(path, 48000, x)
     buf = load_audio(path)
     np.testing.assert_allclose(buf.samples, x.astype(np.float64), rtol=0, atol=0)
+
+
+def test_truncated_data_chunk_rejected_unknown_chunk_skipped(tmp_path):
+    path = tmp_path / "t.wav"
+    x = np.linspace(-0.5, 0.5, 2000)
+    store_audio(AudioBuffer(x), path)
+    good = path.read_bytes()
+    # an even and an odd cut inside the 4000-byte data chunk
+    for cut in (1000, 999):
+        path.write_bytes(good[:-cut])
+        with pytest.raises(AudioFormatError):
+            load_audio(path)
+    # an unknown 3-byte chunk and its pad byte between the fmt and data chunks
+    extra = b"xtra" + struct.pack("<I", 3) + b"abc\x00"
+    body = good[12:36] + extra + good[36:]
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+        back = load_audio(path)
+    np.testing.assert_array_equal(back.samples, quantize_pcm16(x) / 32768.0)
 
 
 def test_empty_file_roundtrip(tmp_path):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -19,9 +21,10 @@ def test_runtime_modules_do_not_import_scipy_signal():
     assert out.stdout.strip() == "False"
 
 
-def test_training_imports_no_scipy():
-    # the training engine's logistic is numpy; scipy stays out of its imports
-    tree = ast.parse((SRC / "rnx" / "training.py").read_text())
+@pytest.mark.parametrize("module", ["training.py", "neural.py"])
+def test_engine_imports_no_scipy(module):
+    # the network engine's logistic is numpy; scipy stays out of its imports
+    tree = ast.parse((SRC / "rnx" / module).read_text())
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules if m.split(".")[0] == "scipy"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from rnx import training
+from rnx import neural, training
 from rnx.dataset import FeatureDataset
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM
 from rnx.neural import HiddenState, build_model, init_weights, network_block, network_forward
@@ -282,9 +282,9 @@ def test_forward_cache_agrees_with_streaming_forward():
 
 @pytest.mark.parametrize("dim", [REFERENCE_DIM, EXTENDED_DIM])
 def test_training_forward_equals_network_block(dim):
-    # float64 training forward (GEMMs, folded logistic, h = c + z(h - c))
-    # against the inference block path (per-row products, expit), sequence
-    # by sequence
+    # float64 training forward (GEMMs, C-contiguous recurrent copies)
+    # against the inference block path (per-row products, transposed
+    # views), sequence by sequence
     rng = np.random.default_rng(401)
     model = init_weights(12, dim)
     feats = rng.normal(size=(3, 200, dim))
@@ -330,6 +330,24 @@ def test_saturated_gates_raise_no_warning(dtype):
         assert np.any(cache.zr == 0.0) and np.any(cache.zr == 1.0)
 
 
+def test_saturated_network_forward_and_block_raise_no_warning():
+    rng = np.random.default_rng(421)
+    model = saturating_model(np.float64, 13)
+    feats = rng.normal(size=(20, REFERENCE_DIM))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        masks, vads, _ = network_block(model, feats, HiddenState.zeros(model))
+        state = HiddenState.zeros(model)
+        hops = []
+        for row in feats:
+            mask, vad, state = network_forward(model, row, state)
+            hops.append(np.append(mask, vad))
+    for heads in (np.column_stack((masks, vads)), np.array(hops)):
+        assert np.all(np.isfinite(heads))
+        assert np.all((heads >= 0.0) & (heads <= 1.0))
+        assert np.any(heads == 0.0) and np.any(heads == 1.0)
+
+
 def test_scan_gates_match_expit_within_4_ulp():
     rng = np.random.default_rng(419)
     model = init_weights(14, EXTENDED_DIM)
@@ -355,7 +373,8 @@ def decaying_model(dtype):
 
     Each GRU's candidate is positive on a +1 frame and cut to 0 by the ReLU on
     -1 frames, and a large positive update-gate bias makes h decay by
-    z = expit(2) ~ 0.88 per frame after that.
+    z = expit(2) ~ 0.88 per frame after that: into float32's subnormals after
+    about 700 frames, into float64's after about 5600.
     """
     model = build_model(REFERENCE_DIM, widths=(4, 3, 5, 6), seed=0)
     model.dense_in.weights[:] = 0.5
@@ -416,6 +435,50 @@ def test_float32_subnormals_are_flushed(monkeypatch):
     for key, g64 in grads64.items():
         assert grads32[key].dtype == np.float32
         np.testing.assert_allclose(grads32[key], g64, rtol=1e-4, atol=1e-6 * np.abs(g64).max(), err_msg=key)
+
+
+def test_float64_subnormals_are_flushed_in_hop_and_block(monkeypatch):
+    tiny = np.finfo(np.float64).tiny
+    model = decaying_model(np.float64)
+    feats = decaying_batch(np.float64, t=6000)[0][0]
+
+    def run_hops():
+        state = HiddenState.zeros(model)
+        heads, states = [], []
+        for row in feats:
+            mask, vad, state = network_forward(model, row, state)
+            heads.append(np.append(mask, vad))
+            states.append(np.concatenate((state.h_vad, state.h_noise, state.h_denoise)))
+        return np.array(heads), np.array(states)
+
+    def subnormal(a):
+        return np.count_nonzero((a != 0) & (np.abs(a) < tiny))
+
+    # unflushed, the states decay through the float64 subnormal range
+    monkeypatch.setattr(neural, "flush_subnormals", lambda a, tiny: None)
+    assert subnormal(run_hops()[1]) > 0
+    monkeypatch.undo()
+
+    heads, states = run_hops()
+    assert subnormal(states) == 0
+
+    scanned = []
+    scan = neural.gru_scan
+
+    def record(*args):
+        h, zr, c = scan(*args)
+        scanned.append(h)
+        return h, zr, c
+
+    monkeypatch.setattr(neural, "gru_scan", record)
+    state = HiddenState.zeros(model)
+    for k in range(0, len(feats), 32):
+        masks, vads, state = network_block(model, feats[k : k + 32], state)
+        np.testing.assert_array_equal(np.column_stack((masks, vads)), heads[k : k + 32])
+        end = np.concatenate((state.h_vad, state.h_noise, state.h_denoise))
+        np.testing.assert_array_equal(end, states[min(k + 32, len(feats)) - 1])
+    assert len(scanned) == 3 * len(range(0, len(feats), 32))
+    assert all(subnormal(h) == 0 for h in scanned)
 
 
 def synthetic_dataset(rng, n, dim):
