@@ -100,9 +100,10 @@ def _cmd_eval(args) -> int:
 def _cmd_features(args) -> int:
     from rnx.audio_io import load_audio
     from rnx import bands
-    from rnx.features import analyze_signal
+    from rnx.features import analyze_signal, feature_rows, mode_dim
 
-    feats = analyze_signal(load_audio(args.in_path).samples).rows(args.mode)
+    analysis = analyze_signal(load_audio(args.in_path).samples)
+    feats = feature_rows(analysis.features, analysis.extended_raw, mode_dim(args.mode))
     # no targets for a bare dump: sentinel gains, vad 0
     gains = np.full((len(feats), bands.NUM_BANDS), -1.0)
     dataset.write_feature_file(args.out, feats.shape[1], feats, gains, np.zeros(len(feats)))

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from rnx import bands, dsp
 from rnx.audio_io import AudioBuffer, load_audio
-from rnx.features import EXTENDED_DIM, REFERENCE_DIM, analyze_signal
+from rnx.features import EXTENDED_DIM, REFERENCE_DIM, analyze_signal, feature_rows, mode_dim
 
 MAGIC = b"RNXF"
 FORMAT_VERSION = 1
@@ -95,8 +95,7 @@ def mix_and_label(
     vad (n,)). The rng defaults to a fresh generator from cfg.seed; dataset
     building passes per-utterance spawned generators instead.
     """
-    if mode not in ("reference", "extended"):
-        raise ValueError(f"unknown mode {mode!r}")
+    feature_dim = mode_dim(mode)
     if len(clean) == 0 or len(noise) == 0:
         raise ValueError("empty audio buffer")
     if rng is None:
@@ -123,7 +122,7 @@ def mix_and_label(
     analysis = analyze_signal(noisy, clean=c)
     gains = bands.compute_irm(analysis.clean_energies, analysis.band_energies)
     vads = vad_labels(dsp.framed(c)).astype(np.float64)
-    return AudioBuffer(noisy), analysis.rows(mode), gains, vads
+    return AudioBuffer(noisy), feature_rows(analysis.features, analysis.extended_raw, feature_dim), gains, vads
 
 
 def write_feature_file(path, feature_dim: int, features, gains, vad) -> None:
@@ -206,6 +205,5 @@ def build_dataset(clean_paths, noise_paths, cfg: MixConfig, mode, out_path, thre
         feats = feats[: cfg.frame_target]
         gains = gains[: cfg.frame_target]
         vads = vads[: cfg.frame_target]
-    dim = EXTENDED_DIM if mode == "extended" else REFERENCE_DIM
-    write_feature_file(out_path, dim, feats, gains, vads)
+    write_feature_file(out_path, mode_dim(mode), feats, gains, vads)
     return feats.shape[0]

@@ -61,10 +61,7 @@ def segmental_snr(clean, test) -> float:
 
 
 def _log_spectra(x: np.ndarray) -> np.ndarray:
-    n_frames = (len(x) - dsp.FRAME_LEN) // dsp.HOP + 1
-    offsets = np.arange(n_frames) * dsp.HOP
-    frames = x[offsets[:, None] + np.arange(dsp.FRAME_LEN)] * dsp.WINDOW
-    return 20.0 * np.log10(np.abs(np.fft.rfft(frames, axis=1)) + _EPS)
+    return 20.0 * np.log10(np.abs(dsp.analyze_frame(dsp.framed(x))) + _EPS)
 
 
 def log_spectral_distance(clean, test) -> float:

@@ -9,10 +9,14 @@ The baseline vector is 42 values per frame, in a fixed layout:
     [40]     pitch period scaled by the 800-sample search ceiling
     [41]     non-stationarity: mean absolute log-band-energy flux
 
-Extended mode appends three spectral-shape scalars (centroid, bandwidth,
-roll-off), standardized with training-set statistics that travel with the
-model. Derivative and flux histories start at zero, so the first frame's
-first difference equals its cepstrum.
+Extended mode appends three spectral-shape scalars at [42:45]: centroid,
+bandwidth and roll-off. Analysis keeps them raw and apart from the 42
+(`extended_raw`); `feature_rows` is the one place that builds a network
+or file row from the two. Feature files store the trio raw, and the
+network sees it as (raw - mean) / std with the training-set statistics
+that travel with the model. `mode_dim` maps a mode name to its width.
+Derivative and flux histories start at zero, so the first frame's first
+difference equals its cepstrum.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ NUM_DERIV = 6
 NUM_PITCH_DCT = 6
 REFERENCE_DIM = 42
 EXTENDED_DIM = 45
+MODE_DIMS = {"reference": REFERENCE_DIM, "extended": EXTENDED_DIM}
 STD_FLOOR = 1e-6
 ROLLOFF_THRESHOLD = 0.9
 # frames per block in analysis_blocks: bounds each temporary to about 0.5 MB,
@@ -136,11 +141,6 @@ def spectral_rolloff(spectrum: np.ndarray, threshold: float = ROLLOFF_THRESHOLD)
     return int(spectral_shape(spectrum, threshold=threshold)[2])
 
 
-def standardize_extended(raw: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    raw = np.asarray(raw, dtype=np.float64)
-    return (raw - stats.mean) / stats.std
-
-
 def compute_stats(raw_trios: np.ndarray) -> FeatureStats:
     """Population mean/std of the raw extended-feature triples, std floored."""
     raw_trios = np.asarray(raw_trios, dtype=np.float64)
@@ -152,18 +152,13 @@ def compute_stats(raw_trios: np.ndarray) -> FeatureStats:
 
 
 def assemble_features(
-    mode: str,
     bfcc_vec: np.ndarray,
     derivs: np.ndarray,
     pitch_dct: np.ndarray,
     period: int,
     flux: float,
-    extended_raw: np.ndarray | None = None,
-    stats: FeatureStats | None = None,
 ) -> np.ndarray:
-    """Pack the per-frame parts (or frame-major stacks of them) into the fixed 42- or 45-value layout."""
-    if mode not in ("reference", "extended"):
-        raise ValueError(f"unknown mode {mode!r}")
+    """Pack the per-frame parts (or frame-major stacks of them) into the fixed 42-value layout."""
     base = np.concatenate(
         (
             np.asarray(bfcc_vec, dtype=np.float64),
@@ -175,18 +170,30 @@ def assemble_features(
     )
     if base.shape[-1] != REFERENCE_DIM:
         raise ValueError(f"feature parts assemble to {base.shape}, expected ({REFERENCE_DIM},)")
-    if mode == "reference":
-        if extended_raw is not None:
-            raise ValueError("reference mode takes no extended features")
-        return base
-    if extended_raw is None:
-        raise ValueError("extended mode requires the raw centroid/bandwidth/roll-off triple")
-    trio = np.asarray(extended_raw, dtype=np.float64)
-    if trio.shape[-1:] != (3,):
-        raise ValueError(f"expected 3 extended values, got shape {trio.shape}")
-    if stats is not None:
-        trio = standardize_extended(trio, stats)
-    return np.concatenate((base, trio), axis=-1)
+    return base
+
+
+def mode_dim(mode: str) -> int:
+    """The row width of a feature mode: 42 for "reference", 45 for "extended"."""
+    if mode not in MODE_DIMS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return MODE_DIMS[mode]
+
+
+def feature_rows(
+    features: np.ndarray, extended_raw: np.ndarray, feature_dim: int, stats: FeatureStats | None = None
+) -> np.ndarray:
+    """Rows of width feature_dim: the 42 features, then at width 45 the trio.
+
+    Takes one frame or a frame-major stack. The trio is appended raw, or as
+    (raw - mean) / std when stats are given.
+    """
+    if feature_dim == EXTENDED_DIM:
+        trio = extended_raw if stats is None else (extended_raw - stats.mean) / stats.std
+        features = np.concatenate((features, trio), axis=-1)
+    if features.shape[-1] != feature_dim:
+        raise ValueError(f"feature rows are {features.shape[-1]} wide, expected {feature_dim}")
+    return features
 
 
 @dataclass
@@ -208,8 +215,8 @@ class FeatureExtractor:
 
     Owns the pitch and history state for one audio stream. Each call takes
     the full 960-sample analysis window (previous hop + new hop) and
-    returns a FrameAnalysis. Extended features are returned raw; callers
-    standardize with whatever stats apply.
+    returns a FrameAnalysis. Extended features are returned raw;
+    feature_rows builds the network input from them.
     """
 
     def __init__(self):
@@ -226,7 +233,7 @@ class FeatureExtractor:
         cepstrum = bfcc(energies)
         derivs = bfcc_derivatives(self.history, cepstrum)
         flux = nonstationarity(self.history, energies)
-        base = assemble_features("reference", cepstrum, derivs, pitch_dct_features(corr), period, flux)
+        base = assemble_features(cepstrum, derivs, pitch_dct_features(corr), period, flux)
         self.history.update(cepstrum, log_band_energies(energies))
         return FrameAnalysis(
             spectrum=spectrum,
@@ -257,10 +264,6 @@ class SignalAnalysis:
     clean_energies: np.ndarray | None
     spectrum: np.ndarray | None = None
     pitch_spectrum: np.ndarray | None = None
-
-    def rows(self, mode: str) -> np.ndarray:
-        """Raw feature rows: the 42 features, then in extended mode the raw trio."""
-        return self.features if mode == "reference" else np.hstack((self.features, self.extended_raw))
 
 
 def analysis_blocks(x: np.ndarray, clean: np.ndarray | None = None):
@@ -300,8 +303,8 @@ def analysis_blocks(x: np.ndarray, clean: np.ndarray | None = None):
         shifted = FeatureHistory(cepstra[1:-1], cepstra[:-2], log_energies[:-1])
         history = FeatureHistory(cepstra[-1], cepstra[-2], log_energies[-1])
         features = assemble_features(
-            "reference", cepstrum, bfcc_derivatives(shifted, cepstrum), pitch_dct_features(corr),
-            period, nonstationarity(shifted, energies),
+            cepstrum, bfcc_derivatives(shifted, cepstrum), pitch_dct_features(corr), period,
+            nonstationarity(shifted, energies),
         )
         clean_energies = None if clean is None else bands.band_energies(dsp.analyze_frame(frames[1][rows]))
         yield SignalAnalysis(

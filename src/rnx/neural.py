@@ -120,7 +120,6 @@ class NetworkModel:
     vad_out: LayerParams
     gains_out: LayerParams
     stats: FeatureStats | None = None
-    version: int = FORMAT_VERSION
 
     @property
     def extended(self) -> bool:
@@ -436,6 +435,6 @@ def load_model(path) -> NetworkModel:
     if extended != (feature_dim == EXTENDED_DIM):
         raise ModelFormatError("extended flag does not match feature_dim")
     stats = FeatureStats(means, stds) if extended else None
-    model = NetworkModel(feature_dim, *layers, stats=stats, version=version)
+    model = NetworkModel(feature_dim, *layers, stats=stats)
     model.validate_wiring()
     return model

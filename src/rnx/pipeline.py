@@ -26,7 +26,7 @@ import numpy as np
 
 from rnx import bands, dsp
 from rnx.audio_io import AudioBuffer, load_audio, store_audio
-from rnx.features import FeatureExtractor, analysis_blocks, standardize_extended
+from rnx.features import FeatureExtractor, analysis_blocks, feature_rows
 from rnx.neural import HiddenState, NetworkModel, network_block, network_forward
 from rnx.pitch import comb_filter
 
@@ -78,14 +78,6 @@ def _checked_mask(mask: np.ndarray, name: str) -> np.ndarray:
     return mask
 
 
-def _network_input(model: NetworkModel, features: np.ndarray, extended_raw: np.ndarray) -> np.ndarray:
-    """The network's input for a frame or a block: the features, then in extended mode the standardized trio."""
-    if not model.extended:
-        return features
-    trio = extended_raw if model.stats is None else standardize_extended(extended_raw, model.stats)
-    return np.concatenate((features, trio), axis=-1)
-
-
 def process_hop(
     state: DenoiserState,
     samples: np.ndarray,
@@ -120,8 +112,9 @@ def process_hop(
         mask = np.ones(bands.NUM_BANDS)
         vad = 0.0
     else:
-        feats = _network_input(state.model, analysis.features, analysis.extended_raw)
-        mask, vad, state.hidden = network_forward(state.model, feats, state.hidden)
+        model = state.model
+        feats = feature_rows(analysis.features, analysis.extended_raw, model.feature_dim, model.stats)
+        mask, vad, state.hidden = network_forward(model, feats, state.hidden)
 
     out_spec = bands.apply_gains(spectrum, bands.interpolate_gains(mask))
     out, state.carry = dsp.synthesize_frame(out_spec, state.carry)
@@ -169,7 +162,7 @@ def denoise_buffer(
             elif not bypass_mask:
                 net.append(i)
         if net:
-            feats = _network_input(model, block.features[net], block.extended_raw[net])
+            feats = feature_rows(block.features[net], block.extended_raw[net], model.feature_dim, model.stats)
             mask[net], vad[net], hidden = network_block(model, feats, hidden)
         spectrum = block.spectrum
         if not bypass_pitch:

@@ -30,11 +30,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rnx import neural
-from rnx.features import EXTENDED_DIM, REFERENCE_DIM, FeatureStats, compute_stats
+from rnx.features import EXTENDED_DIM, REFERENCE_DIM, FeatureStats, compute_stats, feature_rows, mode_dim
 
 LOG_FLOOR = 1e-7
 # below this the gamma-power branch treats the prediction as constant
 POWER_FLOOR = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# gradient_check: reduced layer widths, central-difference step, and the
+# tolerances a coordinate must meet
+GRADCHECK_WIDTHS = (4, 3, 5, 6)
+GRADCHECK_STEP = 1e-4
+GRADCHECK_REL_TOL = 1e-4
+GRADCHECK_ABS_TOL = 1e-7
 
 
 @dataclass
@@ -42,14 +51,8 @@ class TrainConfig:
     epochs: int = 120
     steps_per_epoch: int = 8
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     sequence_len: int = 500
     batch_sequences: int = 32
-    grad_clip_norm: float = 5.0
-    gamma: float = 0.5
-    vad_loss_weight: float = 0.5
     seed: int = 0
 
 
@@ -354,18 +357,18 @@ class AdamState:
         )
 
 
-def adam_update(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_update(params, grads, state: AdamState, lr):
     """One bias-corrected Adam step, updating params in place."""
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for key, p in params.items():
         g = grads[key]
         m = state.m[key]
         v = state.v[key]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +393,19 @@ def gradient_check(
     instances: int = 20,
     feature_dim: int = EXTENDED_DIM,
     sequence_len: int = 5,
-    widths=(4, 3, 5, 6),
-    step: float = 1e-4,
-    rel_tol: float = 1e-4,
-    abs_tol: float = 1e-7,
 ) -> GradCheckResult:
     """Verify every analytic gradient against central finite differences.
 
     Uses reduced-width models with the standard wiring so the whole
     parameter set can be swept. A coordinate passes when the difference is
-    within abs_tol or within rel_tol of the larger magnitude.
+    within GRADCHECK_ABS_TOL or within GRADCHECK_REL_TOL of the larger
+    magnitude.
     """
     rng = np.random.default_rng(seed)
     checked = failures = 0
     max_rel = max_abs = 0.0
     for _ in range(instances):
-        model = neural.build_model(feature_dim, widths, seed=rng)
+        model = neural.build_model(feature_dim, GRADCHECK_WIDTHS, seed=rng)
         feats = rng.normal(size=(1, sequence_len, feature_dim))
         gains = rng.uniform(0.0, 1.0, size=(1, sequence_len, neural.NUM_GAINS))
         gains[rng.random(gains.shape) < 0.1] = -1.0
@@ -418,12 +418,12 @@ def gradient_check(
             flat = p.reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]
-                flat[idx] = orig + step
+                flat[idx] = orig + GRADCHECK_STEP
                 up = sequence_loss(model, feats, gains, vads)
-                flat[idx] = orig - step
+                flat[idx] = orig - GRADCHECK_STEP
                 down = sequence_loss(model, feats, gains, vads)
                 flat[idx] = orig
-                fd = (up - down) / (2.0 * step)
+                fd = (up - down) / (2.0 * GRADCHECK_STEP)
                 a = analytic.reshape(-1)[idx]
                 err = abs(a - fd)
                 denom = max(abs(a), abs(fd))
@@ -431,9 +431,9 @@ def gradient_check(
                 max_abs = max(max_abs, err)
                 if denom > 0:
                     rel = err / denom
-                    if err > abs_tol:
+                    if err > GRADCHECK_ABS_TOL:
                         max_rel = max(max_rel, rel)
-                if err > abs_tol and err > rel_tol * denom:
+                if err > GRADCHECK_ABS_TOL and err > GRADCHECK_REL_TOL * denom:
                     failures += 1
     return GradCheckResult(instances, checked, failures, max_rel, max_abs)
 
@@ -454,7 +454,6 @@ def train(
     data,
     cfg: TrainConfig,
     mode: str = "extended",
-    precision=np.float32,
     on_step=None,
 ) -> neural.NetworkModel:
     """Train a fresh model on a feature dataset.
@@ -462,13 +461,10 @@ def train(
     `data` carries feature_dim, features (raw), gains, and vad arrays (see
     rnx.dataset.FeatureDataset). Extended-feature statistics are computed
     from the whole dataset, frozen into the model, and applied before
-    training. Arithmetic runs in float32 by default (the model file stores
-    float32 anyway); pass np.float64 for full-precision runs. Fixed seeds
-    give bit-identical results.
+    training. Arithmetic runs in float32 (the model file stores float32
+    anyway). Fixed seeds give bit-identical results.
     """
-    if mode not in ("reference", "extended"):
-        raise ValueError(f"unknown mode {mode!r}")
-    want_dim = EXTENDED_DIM if mode == "extended" else REFERENCE_DIM
+    want_dim = mode_dim(mode)
     if data.feature_dim != want_dim:
         raise ValueError(
             f"dataset feature_dim {data.feature_dim} does not match {mode} mode ({want_dim})"
@@ -479,25 +475,24 @@ def train(
         raise ValueError("empty dataset")
 
     model = neural.init_weights(cfg.seed, want_dim)
-    if mode == "extended":
-        stats = compute_stats(feats[:, REFERENCE_DIM:])
+    base, trio = feats[:, :REFERENCE_DIM], feats[:, REFERENCE_DIM:]
+    if want_dim == EXTENDED_DIM:
+        stats = compute_stats(trio)
         # freeze at file precision so training and later inference agree
-        stats = FeatureStats(
+        model.stats = FeatureStats(
             stats.mean.astype(np.float32).astype(np.float64),
             stats.std.astype(np.float32).astype(np.float64),
         )
-        model.stats = stats
-        feats = feats.copy()
-        feats[:, REFERENCE_DIM:] = (feats[:, REFERENCE_DIM:] - stats.mean) / stats.std
+    feats = feature_rows(base, trio, want_dim, model.stats)
 
     total_steps = cfg.epochs * cfg.steps_per_epoch
     if total_steps > 0:
         if n < cfg.sequence_len:
             raise ValueError(f"dataset has {n} frames, smaller than one {cfg.sequence_len}-frame sequence")
-        _set_precision(model, precision)
-        x_all = feats.astype(precision)
-        g_all = np.asarray(data.gains, dtype=precision)
-        v_all = np.asarray(data.vad, dtype=precision)
+        _set_precision(model, np.float32)
+        x_all = feats.astype(np.float32)
+        g_all = np.asarray(data.gains, dtype=np.float32)
+        v_all = np.asarray(data.vad, dtype=np.float32)
         params = model.parameters()
         adam = AdamState.init_like(params)
         draw = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
@@ -506,14 +501,8 @@ def train(
             for step in range(1, cfg.steps_per_epoch + 1):
                 starts = draw.integers(0, n - cfg.sequence_len + 1, size=cfg.batch_sequences)
                 rows = starts[:, None] + offsets
-                grads, step_loss = backward_tbptt(
-                    model, x_all[rows], g_all[rows], v_all[rows],
-                    gamma=cfg.gamma, vad_weight=cfg.vad_loss_weight,
-                    clip_norm=cfg.grad_clip_norm,
-                )
-                adam_update(
-                    params, grads, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
-                )
+                grads, step_loss = backward_tbptt(model, x_all[rows], g_all[rows], v_all[rows])
+                adam_update(params, grads, adam, cfg.learning_rate)
                 if on_step is not None:
                     on_step(epoch, step, step_loss)
         _set_precision(model, np.float64)

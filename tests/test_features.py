@@ -17,14 +17,15 @@ from rnx.features import (
     bfcc,
     bfcc_derivatives,
     compute_stats,
+    feature_rows,
     analyze_signal,
     log_band_energies,
+    mode_dim,
     nonstationarity,
     pitch_dct_features,
     spectral_bandwidth,
     spectral_centroid,
     spectral_rolloff,
-    standardize_extended,
 )
 
 
@@ -213,7 +214,7 @@ def test_stats_validation():
 def test_standardize_roundtrip():
     stats = FeatureStats(np.array([1.0, -2.0, 3.0]), np.array([2.0, 0.5, 1.0]))
     raw = np.array([5.0, -2.0, 0.0])
-    got = standardize_extended(raw, stats)
+    got = feature_rows(np.zeros(REFERENCE_DIM), raw, EXTENDED_DIM, stats)[REFERENCE_DIM:]
     np.testing.assert_allclose(got, [2.0, 0.0, -3.0], atol=1e-15)
 
 
@@ -221,7 +222,7 @@ def test_assemble_layout_and_scaling():
     cep = np.arange(22, dtype=np.float64)
     derivs = np.arange(100, 112, dtype=np.float64)
     pdct = np.arange(200, 206, dtype=np.float64)
-    vec = assemble_features("reference", cep, derivs, pdct, 400, 0.75)
+    vec = assemble_features(cep, derivs, pdct, 400, 0.75)
     assert vec.shape == (REFERENCE_DIM,)
     np.testing.assert_array_equal(vec[0:22], cep)
     np.testing.assert_array_equal(vec[22:34], derivs)
@@ -231,32 +232,36 @@ def test_assemble_layout_and_scaling():
 
 
 def test_assemble_extended_modes():
-    cep = np.zeros(22)
-    derivs = np.zeros(12)
-    pdct = np.zeros(6)
+    base = assemble_features(np.zeros(22), np.zeros(12), np.zeros(6), 80, 0.0)
     trio = np.array([10.0, 20.0, 30.0])
     stats = FeatureStats(np.array([10.0, 10.0, 10.0]), np.array([1.0, 2.0, 4.0]))
-    vec = assemble_features("extended", cep, derivs, pdct, 80, 0.0, trio, stats)
+    vec = feature_rows(base, trio, EXTENDED_DIM, stats)
     assert vec.shape == (EXTENDED_DIM,)
+    np.testing.assert_array_equal(vec[:42], base)
     np.testing.assert_allclose(vec[42:], [0.0, 5.0, 5.0], atol=1e-15)
-    raw = assemble_features("extended", cep, derivs, pdct, 80, 0.0, trio)
+    raw = feature_rows(base, trio, EXTENDED_DIM)
     np.testing.assert_array_equal(raw[42:], trio)
+    assert feature_rows(base, trio, REFERENCE_DIM, stats) is base
+    # frame-major stacks take the same rows
+    stack = feature_rows(np.vstack((base, base + 1.0)), np.vstack((trio, trio * 2.0)), EXTENDED_DIM, stats)
+    np.testing.assert_array_equal(stack[0], vec)
+    np.testing.assert_array_equal(stack[1], feature_rows(base + 1.0, trio * 2.0, EXTENDED_DIM, stats))
+    assert (mode_dim("reference"), mode_dim("extended")) == (REFERENCE_DIM, EXTENDED_DIM)
 
 
 def test_assemble_validation():
     cep = np.zeros(22)
     derivs = np.zeros(12)
     pdct = np.zeros(6)
+    base = assemble_features(cep, derivs, pdct, 80, 0.0)
     with pytest.raises(ValueError):
-        assemble_features("other", cep, derivs, pdct, 80, 0.0)
+        mode_dim("other")
     with pytest.raises(ValueError):
-        assemble_features("extended", cep, derivs, pdct, 80, 0.0)
+        feature_rows(base, np.zeros(3), 9)
     with pytest.raises(ValueError):
-        assemble_features("reference", cep, derivs, pdct, 80, 0.0, np.zeros(3))
+        feature_rows(base, np.zeros(4), EXTENDED_DIM)
     with pytest.raises(ValueError):
-        assemble_features("extended", cep, derivs, pdct, 80, 0.0, np.zeros(4))
-    with pytest.raises(ValueError):
-        assemble_features("reference", np.zeros(21), derivs, pdct, 80, 0.0)
+        assemble_features(np.zeros(21), derivs, pdct, 80, 0.0)
 
 
 def test_extractor_first_two_frames_against_direct_math():
@@ -377,7 +382,7 @@ def _assert_matches_extractor(x, clean):
     got = analyze_signal(x, clean)
     count = max((len(x) - 960) // 480 + 1, 0)
     assert got.features.shape == (count, REFERENCE_DIM)
-    assert got.rows("extended").shape == (count, EXTENDED_DIM)
+    assert feature_rows(got.features, got.extended_raw, EXTENDED_DIM).shape == (count, EXTENDED_DIM)
     ex = FeatureExtractor()
     for t in range(count):
         want = ex.process(x[480 * t : 480 * t + 960])

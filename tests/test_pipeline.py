@@ -355,3 +355,38 @@ def test_mask_hook_called_once_per_hop_in_order():
         denoise_buffer(MODELS[EXTENDED_DIM], AudioBuffer(CORPUS["babble"][:n]),
                        mask_hook=lambda k: seen.append(k))
         assert seen == list(range((n + 479) // 480 + 1)), n
+
+
+STREAM_LEN = 20 * 48000  # 20 s
+
+
+def _impulses(n):
+    x = np.zeros(n)
+    x[::4800] = 1.0
+    return x
+
+
+LONG_STREAMS = {
+    "silence": np.zeros,
+    "square": lambda n: np.where((np.arange(n) // 109) % 2 == 0, 1.0, -1.0),  # full scale, 109-sample half period
+    "dc": lambda n: np.full(n, 0.99),
+    "impulses": _impulses,
+}
+
+
+@pytest.mark.parametrize("seed, dim", [(7, EXTENDED_DIM), (13, REFERENCE_DIM)])
+@pytest.mark.parametrize("name", list(LONG_STREAMS))
+def test_long_stream_stays_finite_and_bounded(name, seed, dim):
+    """20 s of a pathological input: finite output and states, no growth of the GRU states."""
+    x = LONG_STREAMS[name](STREAM_LEN)
+    state = create_state(init_weights(seed, dim))
+    hops = STREAM_LEN // 480
+    norms = np.empty((hops, 3))
+    for k, hop in enumerate(hops_of(x)):
+        res = process_hop(state, hop)
+        assert np.isfinite(res.samples).all()
+        h = state.hidden
+        norms[k] = [np.linalg.norm(h.h_vad), np.linalg.norm(h.h_noise), np.linalg.norm(h.h_denoise)]
+    assert np.isfinite(norms).all()
+    first, second = norms[: hops // 2].max(axis=0), norms[hops // 2 :].max(axis=0)
+    assert (second <= 1.1 * first).all(), (first, second)
