@@ -74,7 +74,7 @@ def vad_labels(clean_frames: np.ndarray) -> np.ndarray:
     The first 99 frames take the median of all frames so far: their windows
     start with +inf padding, which sorts last, so only `count` values count.
     """
-    energy = np.array([np.mean(np.square(frame)) for frame in clean_frames])
+    energy = np.mean(np.square(clean_frames), axis=-1)
     padded = np.concatenate((np.full(VAD_MEDIAN_WINDOW, np.inf), energy))
     ordered = np.sort(sliding_window_view(padded, VAD_MEDIAN_WINDOW)[1:], axis=-1)
     count = np.minimum(np.arange(1, len(energy) + 1), VAD_MEDIAN_WINDOW)[:, None]

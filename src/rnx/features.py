@@ -271,11 +271,12 @@ def analysis_blocks(x: np.ndarray, clean: np.ndarray | None = None):
 
     Each block is a SignalAnalysis of up to ANALYSIS_CHUNK consecutive
     frames, with their spectra and pitch-delayed spectra; the pitch
-    fallback and the derivative and flux histories carry from block to
-    block. Every value is bitwise equal to the extractor's. As in the
-    extractor, frame 0's first hop never enters the pitch history (1280
-    zeros, then x[480:960]). `clean` adds the band energies of its frames.
-    The signal is checked before the first block.
+    fallback, the last hop's pitch partial and the derivative and flux
+    histories carry from block to block. Every value is bitwise equal to
+    the extractor's. As in the extractor, frame 0's first hop never
+    enters the pitch history (1280 zeros, then x[480:960]). `clean` adds
+    the band energies of its frames. The signal is checked before the
+    first block.
     """
     x = np.asarray(x, dtype=np.float64)
     signals = [x] if clean is None else [x, np.asarray(clean, dtype=np.float64)]
@@ -286,11 +287,11 @@ def analysis_blocks(x: np.ndarray, clean: np.ndarray | None = None):
     frames = [dsp.framed(s) for s in signals]
     pitch_input = np.concatenate((np.zeros(pitch_mod.PITCH_MAX_PERIOD + dsp.HOP), x[dsp.HOP :]))
     histories = dsp.framed(pitch_input, pitch_mod.HISTORY_LEN)
-    last_period = pitch_mod.PitchState().last_period
+    last_period, partial = pitch_mod.PitchState().last_period, None
     history = FeatureHistory()
     for start in range(0, len(histories), ANALYSIS_CHUNK):
         rows = slice(start, start + ANALYSIS_CHUNK)
-        period, strength = pitch_mod.track_pitch(histories[rows], last_period)
+        period, strength, partial = pitch_mod.track_pitch(histories[rows], last_period, partial)
         last_period = period[-1]
         offsets = (pitch_mod.PITCH_MAX_PERIOD - period)[:, None] + np.arange(dsp.FRAME_LEN)
         pitch_spectrum = dsp.analyze_frame(np.take_along_axis(histories[rows], offsets, axis=1))

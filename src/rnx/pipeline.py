@@ -15,6 +15,13 @@ features.ANALYSIS_CHUNK frames: the analysis, comb filter, network
 layers and heads, gains and synthesis once per block along a leading
 frame axis, and only the GRU recurrence frame by frame. Its output is
 bitwise equal to a process_hop loop.
+
+Neither path limits the output to full scale. The Gibbs overshoot of the
+band-limited output can exceed the input's peak: one second of a +/-1
+square wave with a 218-sample period through init_weights(7, 45) peaks
+at 1.19 in a process_hop loop, and at 1.25 in denoise_buffer's last hop,
+where the buffer ends mid-wave. store_audio clips such samples when it
+writes PCM-16; a stream caller gets them unclipped.
 """
 
 from __future__ import annotations

@@ -143,6 +143,7 @@ def _stream_snapshot(state):
         "carry": state.carry.copy(),
         "pitch_history": ex.pitch_state.history.copy(),
         "last_period": ex.pitch_state.last_period,
+        "pitch_partial": np.array(ex.pitch_state.partial),  # None after a silent frame
         "bfcc_prev": ex.history.bfcc_prev.copy(),
         "bfcc_prev2": ex.history.bfcc_prev2.copy(),
         "log_energy_prev": ex.history.log_energy_prev.copy(),

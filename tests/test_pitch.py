@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 import synthetic as syn
-from rnx import bands, dsp
+from rnx import bands, dsp, pitch
+from rnx.features import ANALYSIS_CHUNK, analyze_signal
 from rnx.pitch import (
     HISTORY_LEN,
     PITCH_MAX_PERIOD,
     PITCH_MIN_PERIOD,
+    SEGMENT_LEN,
     SUBHARMONIC_RATIO,
     PitchState,
-    _normalized_lag_correlations,
+    _frame_correlations,
+    _hop_partials,
     _prefer_subharmonics,
     comb_filter,
     estimate_pitch,
@@ -193,18 +196,77 @@ def _oracle_histories():
     }
 
 
+def _brute_force_r(history):
+    """r(T) for lags 60..800 by one dot product per lag over the 960-sample frame."""
+    frame = history[PITCH_MAX_PERIOD:]
+    want = []
+    for lag in range(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1):
+        delayed = history[PITCH_MAX_PERIOD - lag : PITCH_MAX_PERIOD - lag + 960]
+        want.append(np.dot(frame, delayed) / np.sqrt(np.dot(frame, frame) * np.dot(delayed, delayed) + 1e-15))
+    return np.array(want)
+
+
+def _assert_matches_brute_force(r, history):
+    want = _brute_force_r(history)
+    np.testing.assert_allclose(r, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("name", ["tone", "pulse_train", "white_noise", "babble", "silent_start"])
 def test_lag_correlations_match_brute_force(name):
     history = _oracle_histories()[name]
     assert history.shape == (HISTORY_LEN,)
-    lags, r = _normalized_lag_correlations(history)
-    np.testing.assert_array_equal(lags, np.arange(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1))
+    first, second = _hop_partials(history[:SEGMENT_LEN]), _hop_partials(history[480:])
     frame = history[PITCH_MAX_PERIOD:]
-    want = []
-    for lag in lags:
-        delayed = history[PITCH_MAX_PERIOD - lag : PITCH_MAX_PERIOD - lag + 960]
-        want.append(np.dot(frame, delayed) / np.sqrt(np.dot(frame, frame) * np.dot(delayed, delayed) + 1e-15))
-    np.testing.assert_allclose(r, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+    r = _frame_correlations(first, second, frame @ frame)
+    assert r.shape == (PITCH_MAX_PERIOD - PITCH_MIN_PERIOD + 1,)
+    _assert_matches_brute_force(r, history)
+
+
+def _record_correlations(monkeypatch):
+    """Route pitch's frame correlations through a recorder; returns the list of results."""
+    seen = []
+
+    def recording(first, second, energy):
+        seen.append(_frame_correlations(first, second, energy))
+        return seen[-1]
+
+    monkeypatch.setattr(pitch, "_frame_correlations", recording)
+    return seen
+
+
+def test_carried_partials_across_silent_gaps_match_oracle_and_blocks(monkeypatch):
+    """Zero runs of 1, 2 and 3 hops (0, 1 and 2 silent frames), and silent frames at both block edges."""
+    rng = np.random.default_rng(89)
+    frames = 3 * ANALYSIS_CHUNK
+    x = syn.speech_like(rng, 0.05 * (frames + 1), pauses=False)[: 480 * (frames + 1)]
+    x += rng.normal(size=x.size) * 0.01
+    gaps = [(10,), (20, 21), (40, 41, 42), (ANALYSIS_CHUNK - 1, ANALYSIS_CHUNK), (63, 64, 65)]
+    for gap in gaps:
+        for hop in gap:
+            x[480 * hop : 480 * hop + 480] = 0.0
+    silent = {hop for gap in gaps for hop in gap[:-1]}  # frame t holds hops t and t + 1
+    assert ANALYSIS_CHUNK - 1 in silent and 2 * ANALYSIS_CHUNK - 1 in silent and 2 * ANALYSIS_CHUNK in silent
+
+    seen = _record_correlations(monkeypatch)
+    state = PitchState()
+    stream = []
+    for t in range(frames):
+        calls = len(seen)
+        stream.append(estimate_pitch(state, x[480 * t : 480 * t + 960]))
+        assert (len(seen) == calls) == (t in silent), t
+        if t not in silent:
+            _assert_matches_brute_force(seen[-1], state.history)
+            assert state.partial is not None
+        else:
+            assert stream[-1][1] == 0.0 and state.partial is None
+    stream_r = np.array(seen)
+
+    seen.clear()
+    got = analyze_signal(x)
+    np.testing.assert_array_equal(got.period, [p for p, _ in stream])
+    np.testing.assert_array_equal(got.pitch_strength, [s for _, s in stream])
+    voiced = [t not in silent for t in range(frames)]  # the block path scores silent rows too
+    np.testing.assert_array_equal(np.concatenate(seen)[voiced], stream_r)
 
 
 def _prefer_subharmonics_loop(r, best_lag):
@@ -246,3 +308,14 @@ def test_subharmonic_scan_matches_loop_on_every_peak():
             assert _prefer_subharmonics(r, best) == want, (best, want)
             moved += want != best
     assert moved > 1000  # the scan swapped the peak often enough to mean something
+
+
+def test_block_subharmonic_scan_matches_loop_on_every_row():
+    rng = np.random.default_rng(83)
+    lags = np.arange(PITCH_MIN_PERIOD, PITCH_MAX_PERIOD + 1)
+    curves = [rng.uniform(-1.0, 1.0, lags.size) for _ in range(3)]
+    curves += [_peaky_r(rng, period) for period in (61, 97, 120, 240, 333)]
+    for r in curves:
+        # one row per raw peak, all scanned in one call
+        got = _prefer_subharmonics(np.tile(r, (lags.size, 1)), lags)
+        np.testing.assert_array_equal(got, [_prefer_subharmonics_loop(r, best) for best in lags])
