@@ -1,4 +1,10 @@
-"""Feature computation, per frame for streaming and per whole signal in chunks.
+"""Feature computation: one core over blocks of frames, for streaming and whole signals.
+
+frame_features turns k consecutive frames' spectra, pitch-delayed spectra
+and pitch estimates into their features, carrying the derivative and flux
+history. The streaming FeatureExtractor runs it on one frame per call
+after estimate_pitch; analysis_blocks runs it on blocks of up to
+ANALYSIS_CHUNK frames after track_pitch. Both yield SignalAnalysis rows.
 
 The baseline vector is 42 values per frame, in a fixed layout:
 
@@ -197,17 +203,48 @@ def feature_rows(
 
 
 @dataclass
-class FrameAnalysis:
-    """Everything one analysis frame yields, before any filtering."""
+class SignalAnalysis:
+    """Analysis results as (T, ...) arrays, plus the clean frames' band energies.
 
-    spectrum: np.ndarray
-    pitch_spectrum: np.ndarray
+    The blocks analysis_blocks yields and FeatureExtractor.process's one-row
+    results also carry their frames' spectra and pitch-delayed spectra;
+    analyze_signal's whole-signal result does not.
+    """
+
     band_energies: np.ndarray
     band_corr: np.ndarray
-    period: int
-    pitch_strength: float
-    features: np.ndarray  # 42 baseline values, never standardized
-    extended_raw: np.ndarray  # raw (centroid, bandwidth, rolloff)
+    period: np.ndarray
+    pitch_strength: np.ndarray
+    features: np.ndarray  # 42 baseline values per frame, never standardized
+    extended_raw: np.ndarray  # raw (centroid, bandwidth, rolloff) per frame
+    clean_energies: np.ndarray | None
+    spectrum: np.ndarray | None = None
+    pitch_spectrum: np.ndarray | None = None
+
+
+def frame_features(spectrum, pitch_spectrum, period, strength, history: FeatureHistory):
+    """The features of k consecutive frames from their (k, 481) spectra and pitch-delayed spectra.
+
+    `period` and `strength` are the frames' pitch estimates, (k,) each, and
+    `history` holds the cepstra and log band energies of the frames before
+    them. Each frame's derivatives and flux take the rows before it as
+    history, the carried history before the first, so one k-row call equals
+    k one-row calls bitwise. Returns the k-row SignalAnalysis (no clean
+    energies) and the history after the last frame.
+    """
+    corr, energies = bands.band_correlation(spectrum, pitch_spectrum)
+    cepstrum = bfcc(energies)
+    cepstra = np.concatenate(((history.bfcc_prev2, history.bfcc_prev), cepstrum))
+    log_energies = np.concatenate(((history.log_energy_prev,), log_band_energies(energies)))
+    shifted = FeatureHistory(cepstra[1:-1], cepstra[:-2], log_energies[:-1])
+    features = assemble_features(
+        cepstrum, bfcc_derivatives(shifted, cepstrum), pitch_dct_features(corr), period,
+        nonstationarity(shifted, energies),
+    )
+    analysis = SignalAnalysis(
+        energies, corr, period, strength, features, spectral_shape(spectrum), None, spectrum, pitch_spectrum
+    )
+    return analysis, FeatureHistory(cepstra[-1], cepstra[-2], log_energies[-1])
 
 
 class FeatureExtractor:
@@ -215,68 +252,36 @@ class FeatureExtractor:
 
     Owns the pitch and history state for one audio stream. Each call takes
     the full 960-sample analysis window (previous hop + new hop) and
-    returns a FrameAnalysis. Extended features are returned raw;
-    feature_rows builds the network input from them.
+    returns frame_features' one-row SignalAnalysis. Extended features are
+    returned raw; feature_rows builds the network input from them.
     """
 
     def __init__(self):
         self.pitch_state = pitch_mod.PitchState()
         self.history = FeatureHistory()
 
-    def process(self, frame: np.ndarray) -> FrameAnalysis:
+    def process(self, frame: np.ndarray) -> SignalAnalysis:
         # estimate_pitch rejects a bad frame before it changes any state
         period, strength = pitch_mod.estimate_pitch(self.pitch_state, frame)
         delayed = pitch_mod.pitch_delayed_frame(self.pitch_state, period)
-        spectrum, pitch_spectrum = dsp.analyze_frame(np.stack((frame, delayed)))
-        corr, energies = bands.band_correlation(spectrum, pitch_spectrum)
-
-        cepstrum = bfcc(energies)
-        derivs = bfcc_derivatives(self.history, cepstrum)
-        flux = nonstationarity(self.history, energies)
-        base = assemble_features(cepstrum, derivs, pitch_dct_features(corr), period, flux)
-        self.history.update(cepstrum, log_band_energies(energies))
-        return FrameAnalysis(
-            spectrum=spectrum,
-            pitch_spectrum=pitch_spectrum,
-            band_energies=energies,
-            band_corr=corr,
-            period=period,
-            pitch_strength=strength,
-            features=base,
-            extended_raw=spectral_shape(spectrum),
+        spectra = dsp.analyze_frame(np.stack((frame, delayed)))
+        analysis, self.history = frame_features(
+            spectra[:1], spectra[1:], np.array((period,)), np.array((strength,)), self.history
         )
-
-
-@dataclass
-class SignalAnalysis:
-    """analyze_signal's results as (T, ...) arrays, plus the clean frames' band energies.
-
-    The blocks analysis_blocks yields also carry their frames' spectra and
-    pitch-delayed spectra; analyze_signal's whole-signal result does not.
-    """
-
-    band_energies: np.ndarray
-    band_corr: np.ndarray
-    period: np.ndarray
-    pitch_strength: np.ndarray
-    features: np.ndarray
-    extended_raw: np.ndarray
-    clean_energies: np.ndarray | None
-    spectrum: np.ndarray | None = None
-    pitch_spectrum: np.ndarray | None = None
+        return analysis
 
 
 def analysis_blocks(x: np.ndarray, clean: np.ndarray | None = None):
     """Yield a fresh FeatureExtractor's results for the frames x[480 t : 480 t + 960], in blocks.
 
-    Each block is a SignalAnalysis of up to ANALYSIS_CHUNK consecutive
-    frames, with their spectra and pitch-delayed spectra; the pitch
-    fallback, the last hop's pitch partial and the derivative and flux
-    histories carry from block to block. Every value is bitwise equal to
-    the extractor's. As in the extractor, frame 0's first hop never
-    enters the pitch history (1280 zeros, then x[480:960]). `clean` adds
-    the band energies of its frames. The signal is checked before the
-    first block.
+    Each block is frame_features' SignalAnalysis of up to ANALYSIS_CHUNK
+    consecutive frames; the pitch fallback, the last hop's pitch partial
+    and the derivative and flux histories carry from block to block. The
+    pitch search is track_pitch, bitwise the extractor's estimate_pitch, so
+    every value is bitwise equal to the extractor's. As in the extractor,
+    frame 0's first hop never enters the pitch history (1280 zeros, then
+    x[480:960]). `clean` adds the band energies of its frames. The signal
+    is checked before the first block.
     """
     x = np.asarray(x, dtype=np.float64)
     signals = [x] if clean is None else [x, np.asarray(clean, dtype=np.float64)]
@@ -296,22 +301,10 @@ def analysis_blocks(x: np.ndarray, clean: np.ndarray | None = None):
         offsets = (pitch_mod.PITCH_MAX_PERIOD - period)[:, None] + np.arange(dsp.FRAME_LEN)
         pitch_spectrum = dsp.analyze_frame(np.take_along_axis(histories[rows], offsets, axis=1))
         spectrum = dsp.analyze_frame(frames[0][rows])
-        corr, energies = bands.band_correlation(spectrum, pitch_spectrum)
-        cepstrum = bfcc(energies)
-        # each row's history is the rows before it, the carried history before the first
-        cepstra = np.vstack((history.bfcc_prev2, history.bfcc_prev, cepstrum))
-        log_energies = np.vstack((history.log_energy_prev, log_band_energies(energies)))
-        shifted = FeatureHistory(cepstra[1:-1], cepstra[:-2], log_energies[:-1])
-        history = FeatureHistory(cepstra[-1], cepstra[-2], log_energies[-1])
-        features = assemble_features(
-            cepstrum, bfcc_derivatives(shifted, cepstrum), pitch_dct_features(corr), period,
-            nonstationarity(shifted, energies),
-        )
-        clean_energies = None if clean is None else bands.band_energies(dsp.analyze_frame(frames[1][rows]))
-        yield SignalAnalysis(
-            energies, corr, period, strength, features, spectral_shape(spectrum), clean_energies,
-            spectrum, pitch_spectrum,
-        )
+        block, history = frame_features(spectrum, pitch_spectrum, period, strength, history)
+        if clean is not None:
+            block.clean_energies = bands.band_energies(dsp.analyze_frame(frames[1][rows]))
+        yield block
 
 
 def analyze_signal(x: np.ndarray, clean: np.ndarray | None = None) -> SignalAnalysis:

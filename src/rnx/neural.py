@@ -18,13 +18,14 @@ Weights live in float64 in memory and as float32 in the model file; fresh
 models are rounded through float32 at init so a save/load round trip is
 bit-exact.
 
-One recurrence step serves every driver: `gru_recur` runs it once per
-hop, `gru_scan` over a block of frames or a training batch. The caller
-computes the input gates and picks the recurrent operands: inference
-multiplies by views of the transposed weights, which keeps a block
-bitwise equal to its hops (a C-contiguous copy changes the bits);
-training multiplies its (B, u) batches by C-contiguous copies, which took
-half the time of the views.
+One recurrence step, run by `gru_scan` over a time axis, serves both
+drivers: `network_forward` over a block of frames (a streamed hop is a
+block of one) and training over its batches. The caller computes the
+input gates and picks the recurrent operands: inference multiplies by
+views of the transposed weights, which keeps a k-row block bitwise equal
+to k one-row blocks (a C-contiguous copy changes the bits); training
+multiplies its (B, u) batches by C-contiguous copies, which took half the
+time of the views.
 
 The logistic is numpy's exp, +1 and reciprocal of -a in place, a third of
 the time of scipy's expit on batched float32 gates. exp overflows to inf
@@ -76,6 +77,10 @@ def activate(name: str, a: np.ndarray) -> np.ndarray:
         a += 1.0
         return np.reciprocal(a, out=a)
     raise ValueError(f"unknown activation {name!r}")
+
+
+# finfo(dtype).tiny of the network's two dtypes, looked up once instead of per scan
+_TINY = {np.dtype(t): np.finfo(t).tiny for t in (np.float32, np.float64)}
 
 
 def flush_subnormals(a: np.ndarray, tiny) -> None:
@@ -204,18 +209,8 @@ def _gru_step(activation, gates_x, h, u_zr, u_c, zr, c, h_out, tiny) -> None:
     flush_subnormals(h_out, tiny)
 
 
-def gru_recur(layer: LayerParams, gates_x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One recurrence step from the input gates gru_input(layer, x) and the state h."""
-    u = layer.out_dim
-    h_out = np.empty_like(h)
-    zr = np.empty(h.shape[:-1] + (2 * u,), h.dtype)
-    u_zr, u_c = layer.recurrent[: 2 * u].T, layer.recurrent[2 * u :].T
-    _gru_step(layer.activation, gates_x, h, u_zr, u_c, zr, np.empty_like(h), h_out, np.finfo(h.dtype).tiny)
-    return h_out
-
-
 def gru_scan(layer: LayerParams, gates_x: np.ndarray, h0: np.ndarray, recurrent=None):
-    """gru_recur over the leading time axis of input gates (T, ..., 3u) from the state h0 (..., u).
+    """The recurrence over the leading time axis of input gates (T, ..., 3u) from the state h0 (..., u).
 
     Returns the states h (T+1, ..., u) with h[0] = h0, the z then r gates
     zr (T, ..., 2u) and the candidates c (T, ..., u). `recurrent` is the
@@ -230,50 +225,21 @@ def gru_scan(layer: LayerParams, gates_x: np.ndarray, h0: np.ndarray, recurrent=
     h[0] = h0
     zr = np.empty((t, *lead, 2 * u), dtype)
     c = np.empty((t, *lead, u), dtype)
-    tiny = np.finfo(dtype).tiny
+    tiny = _TINY[dtype]
     for i in range(t):
         _gru_step(layer.activation, gates_x[i], h[i], u_zr, u_c, zr[i], c[i], h[i + 1], tiny)
     return h, zr, c
 
 
-def gru_step(layer: LayerParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One recurrence step; works on single vectors or batched rows."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[-1] != layer.out_dim:
-        raise ValueError(f"layer {layer.name}: step dims mismatch")
-    return gru_recur(layer, gru_input(layer, x), h)
-
-
 def network_forward(model: NetworkModel, features: np.ndarray, state: HiddenState):
-    """Run the full wiring for one frame.
+    """Run the full wiring over a (k, feature_dim) block of consecutive frames.
 
-    Returns (mask, vad, new_state). Extended-mode features must already be
-    standardized. Pure: neither the model nor the passed state is mutated.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (model.feature_dim,):
-        raise ValueError(
-            f"feature width {features.shape} does not match model feature_dim {model.feature_dim}"
-        )
-    with np.errstate(over="ignore"):
-        dense = dense_forward(model.dense_in, features)
-        h_vad = gru_step(model.vad_gru, dense, state.h_vad)
-        vad = float(dense_forward(model.vad_out, h_vad)[0])
-        h_noise = gru_step(model.noise_gru, np.concatenate((dense, h_vad, features)), state.h_noise)
-        h_denoise = gru_step(
-            model.denoise_gru, np.concatenate((h_vad, h_noise, features)), state.h_denoise
-        )
-        mask = dense_forward(model.gains_out, h_denoise)
-    return mask, vad, HiddenState(h_vad, h_noise, h_denoise)
-
-
-def network_block(model: NetworkModel, features: np.ndarray, state: HiddenState):
-    """network_forward over a (k, feature_dim) block of consecutive frames.
-
-    Returns (masks (k, 22), vads (k,), state after the last frame); row i
-    is bitwise what network_forward returns for frame i. The dense layer,
-    each GRU's input projection and both heads run once for the block;
-    only the recurrence steps loop over frames.
+    Returns (masks (k, 22), vads (k,), state after the last frame); k
+    one-row calls that carry the state give the same rows bitwise. The
+    dense layer, each GRU's input projection and both heads run once for
+    the block; only the recurrence steps loop over frames. Extended-mode
+    features must already be standardized. Pure: neither the model nor
+    the passed state is mutated.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.feature_dim or not len(features):
@@ -284,9 +250,9 @@ def network_block(model: NetworkModel, features: np.ndarray, state: HiddenState)
         dense = dense_forward(model.dense_in, features)
         h_vad = gru_scan(model.vad_gru, gru_input(model.vad_gru, dense), state.h_vad)[0][1:]
         vads = dense_forward(model.vad_out, h_vad)[:, 0]
-        noise_in = gru_input(model.noise_gru, np.hstack((dense, h_vad, features)))
+        noise_in = gru_input(model.noise_gru, np.concatenate((dense, h_vad, features), axis=-1))
         h_noise = gru_scan(model.noise_gru, noise_in, state.h_noise)[0][1:]
-        denoise_in = gru_input(model.denoise_gru, np.hstack((h_vad, h_noise, features)))
+        denoise_in = gru_input(model.denoise_gru, np.concatenate((h_vad, h_noise, features), axis=-1))
         h_denoise = gru_scan(model.denoise_gru, denoise_in, state.h_denoise)[0][1:]
         masks = dense_forward(model.gains_out, h_denoise)
     return masks, vads, HiddenState(h_vad[-1], h_noise[-1], h_denoise[-1])

@@ -7,14 +7,16 @@ the network predicts the band mask, and the gains are interpolated and
 applied before overlap-add synthesis. Algorithmic latency is exactly one
 hop: the samples returned for hop k reconstruct hop k-1.
 
-process_hop runs this for one hop of a live stream. denoise_buffer pads
-a stored buffer to whole hops, adds one zero-fed flush hop and drops the
-first (silent warm-up) output block, so output length equals input
-length with the delay compensated. It runs the same steps over blocks of
-features.ANALYSIS_CHUNK frames: the analysis, comb filter, network
-layers and heads, gains and synthesis once per block along a leading
-frame axis, and only the GRU recurrence frame by frame. Its output is
-bitwise equal to a process_hop loop.
+Both paths render through one body over a block of analysed frames: the
+network rows, the comb filter, the gains and the synthesis, each once per
+block along a leading frame axis, with only the GRU recurrence frame by
+frame. process_hop runs it on a block of one frame, the extractor's row
+for one hop of a live stream. denoise_buffer pads a stored buffer to
+whole hops, adds one zero-fed flush hop and drops the first (silent
+warm-up) output block, so output length equals input length with the
+delay compensated; it runs the body once per analysis_blocks block of up
+to features.ANALYSIS_CHUNK frames. Its output is bitwise equal to a
+process_hop loop.
 
 Neither path limits the output to full scale. The Gibbs overshoot of the
 band-limited output can exceed the input's peak: one second of a +/-1
@@ -34,7 +36,7 @@ import numpy as np
 from rnx import bands, dsp
 from rnx.audio_io import AudioBuffer, load_audio, store_audio
 from rnx.features import FeatureExtractor, analysis_blocks, feature_rows
-from rnx.neural import HiddenState, NetworkModel, network_block, network_forward
+from rnx.neural import HiddenState, NetworkModel, network_forward
 from rnx.pitch import comb_filter
 
 
@@ -108,24 +110,34 @@ def process_hop(
     # so a rejected hop leaves no trace
     analysis = state.extractor.process(np.concatenate((state.pending, samples)))
     state.pending = samples.copy()
-    spectrum = analysis.spectrum
+    mask = np.ones((1, bands.NUM_BANDS)) if mask_override is None else mask_override[None]
+    vad = np.zeros(1)
+    net = [0] if mask_override is None and not bypass_mask else []
+    out, state.hidden, state.carry = _render(
+        state.model, analysis, mask, vad, net, state.hidden, state.carry, bypass_pitch
+    )
+    period, strength = int(analysis.period[0]), float(analysis.pitch_strength[0])
+    return HopResult(out[0], float(vad[0]), mask[0], period, strength)
+
+
+def _render(model, block, mask, vad, net, hidden, carry, bypass_pitch):
+    """Denoise a block of analysed frames: network, comb filter, gains and synthesis.
+
+    The network runs on the rows `net` of the block, writes their masks and
+    VAD values into `mask` (k, 22) and `vad` (k,) and carries `hidden`
+    across them; the other rows keep the masks they hold. Returns the
+    block's (k, 480) output hops, the hidden state and the synthesis carry.
+    """
+    if net:
+        if len(net) == len(vad):
+            net = slice(None)  # every row: views instead of copies
+        feats = feature_rows(block.features[net], block.extended_raw[net], model.feature_dim, model.stats)
+        mask[net], vad[net], hidden = network_forward(model, feats, hidden)
+    spectrum = block.spectrum
     if not bypass_pitch:
-        spectrum = comb_filter(spectrum, analysis.pitch_spectrum, analysis.band_corr)
-
-    if mask_override is not None:
-        mask = mask_override
-        vad = 0.0
-    elif bypass_mask:
-        mask = np.ones(bands.NUM_BANDS)
-        vad = 0.0
-    else:
-        model = state.model
-        feats = feature_rows(analysis.features, analysis.extended_raw, model.feature_dim, model.stats)
-        mask, vad, state.hidden = network_forward(model, feats, state.hidden)
-
-    out_spec = bands.apply_gains(spectrum, bands.interpolate_gains(mask))
-    out, state.carry = dsp.synthesize_frame(out_spec, state.carry)
-    return HopResult(out, vad, mask, analysis.period, analysis.pitch_strength)
+        spectrum = comb_filter(spectrum, block.pitch_spectrum, block.band_corr)
+    out, carry = dsp.synthesize_frame(bands.apply_gains(spectrum, bands.interpolate_gains(mask)), carry)
+    return out, hidden, carry
 
 
 def denoise_buffer(
@@ -168,13 +180,7 @@ def denoise_buffer(
                 mask[i] = _checked_mask(override, "mask_hook's mask")
             elif not bypass_mask:
                 net.append(i)
-        if net:
-            feats = feature_rows(block.features[net], block.extended_raw[net], model.feature_dim, model.stats)
-            mask[net], vad[net], hidden = network_block(model, feats, hidden)
-        spectrum = block.spectrum
-        if not bypass_pitch:
-            spectrum = comb_filter(spectrum, block.pitch_spectrum, block.band_corr)
-        out[rows], carry = dsp.synthesize_frame(bands.apply_gains(spectrum, bands.interpolate_gains(mask)), carry)
+        out[rows], hidden, carry = _render(model, block, mask, vad, net, hidden, carry, bypass_pitch)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     vads, masks = vads[:hops], masks[:hops]  # the flush hop's values are not reported

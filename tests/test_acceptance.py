@@ -27,6 +27,7 @@ from rnx.features import (
 from rnx.neural import init_weights, load_model
 from rnx.pipeline import denoise_buffer
 from rnx.training import TrainConfig, gradient_check, loss, train
+from test_pipeline import LONG_STREAMS, STREAM_LEN, assert_long_stream_bounded
 
 REPORT_LINE = (
     r"^system=(noisy|reference|extended) condition=\S+ "
@@ -238,6 +239,14 @@ def test_c08_desk_scale_training_gate(training_run):
         f"(ratio {ratio:.3f}), seg SNR {before:.2f}->{after:.2f} dB (+{gain:.2f}), "
         f"{training_run['minutes']:.1f} min"
     )
+
+
+@pytest.mark.parametrize("name", list(LONG_STREAMS))
+def test_trained_model_long_stream_stays_finite_and_bounded(training_run, name):
+    """20 s of a pathological input through the trained model, with the random models' criterion."""
+    first, second = assert_long_stream_bounded(training_run["model"], LONG_STREAMS[name](STREAM_LEN))
+    ratios = " ".join(f"{r:.3f}" for r in second / first)
+    print(f"LONG STREAM {name}: second/first half max state norm (vad noise denoise) {ratios}")
 
 
 def test_c09_oracle_mask_gate(training_run):

@@ -93,13 +93,13 @@ def test_mix_matches_per_frame_composition():
     assert feats.shape == (count, EXTENDED_DIM) and count > 200
     for t in range(count):
         frame = slice(480 * t, 480 * t + 960)
-        want = ex.process(x[frame])
+        want = ex.process(x[frame])  # a one-row SignalAnalysis
         clean_energies = bands.band_energies(dsp.analyze_frame(c[frame]))
-        np.testing.assert_array_equal(gains[t], bands.compute_irm(clean_energies, want.band_energies))
+        np.testing.assert_array_equal(gains[t], bands.compute_irm(clean_energies, want.band_energies[0]))
         energies.append(float(np.mean(np.square(c[frame]))))
         assert vads[t] == vad_target(energies[-1], float(np.median(energies[-100:])))
         np.testing.assert_allclose(
-            feats[t], np.concatenate((want.features, want.extended_raw)), rtol=0, atol=1e-12
+            feats[t], np.concatenate((want.features[0], want.extended_raw[0])), rtol=0, atol=1e-12
         )
     assert np.any(gains == -1.0) and np.any(vads == 0.0) and np.any(vads == 1.0)
 

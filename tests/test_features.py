@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,14 +266,21 @@ def test_assemble_validation():
         assemble_features(np.zeros(21), derivs, pdct, 80, 0.0)
 
 
+def first_row(analysis):
+    """The one row of the extractor's SignalAnalysis, as per-frame values."""
+    values = {f.name: getattr(analysis, f.name) for f in fields(analysis)}
+    assert all(v is None or len(v) == 1 for v in values.values())
+    return SimpleNamespace(**{name: None if v is None else v[0] for name, v in values.items()})
+
+
 def test_extractor_first_two_frames_against_direct_math():
     rng = np.random.default_rng(127)
     x = syn.speech_like(rng, 0.05, pauses=False)
     f1, f2 = x[:960], x[480:1440]
 
     ex = FeatureExtractor()
-    a1 = ex.process(f1)
-    a2 = ex.process(f2)
+    a1 = first_row(ex.process(f1))
+    a2 = first_row(ex.process(f2))
 
     for frame, analysis in ((f1, a1), (f2, a2)):
         spec = dsp.analyze_frame(frame)
@@ -321,7 +330,7 @@ def test_extractor_equals_composed_helpers():
     history = FeatureHistory()
     silent = 0
     for frame in frames:
-        got = ex.process(frame)
+        got = first_row(ex.process(frame))
 
         spec = dsp.analyze_frame(frame)
         period, strength = estimate_pitch(pitch_state, frame)
@@ -358,7 +367,7 @@ def test_extractor_pitch_consistency():
     ex = FeatureExtractor()
     last = None
     for k in range(len(x) // 480 - 1):
-        last = ex.process(x[k * 480 : k * 480 + 960])
+        last = first_row(ex.process(x[k * 480 : k * 480 + 960]))
     assert abs(last.period - 240) <= 1
     assert last.pitch_strength > 0.95
     assert abs(last.features[40] - last.period / 800.0) < 1e-15
@@ -372,7 +381,7 @@ def test_extractor_determinism():
     outs = []
     for _ in range(2):
         ex = FeatureExtractor()
-        feats = [ex.process(x[k * 480 : k * 480 + 960]).features for k in range(3)]
+        feats = [first_row(ex.process(x[k * 480 : k * 480 + 960])).features for k in range(3)]
         outs.append(np.stack(feats))
     np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -385,7 +394,7 @@ def _assert_matches_extractor(x, clean):
     assert feature_rows(got.features, got.extended_raw, EXTENDED_DIM).shape == (count, EXTENDED_DIM)
     ex = FeatureExtractor()
     for t in range(count):
-        want = ex.process(x[480 * t : 480 * t + 960])
+        want = first_row(ex.process(x[480 * t : 480 * t + 960]))
         if t == 0:
             # frame 0's first hop never enters the pitch history
             np.testing.assert_array_equal(ex.pitch_state.history, np.concatenate((np.zeros(1280), x[480:960])))

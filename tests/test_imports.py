@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -6,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_runtime_modules_do_not_import_scipy_signal():
@@ -28,3 +31,18 @@ def test_engine_imports_no_scipy(module):
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_perfbench_patch_targets_resolve():
+    # the traced benchmark wraps these names; one that no longer resolves
+    # turns its per-layer metric into null
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.PATCHES
+    for target, _ in layers.PATCHES:
+        module_name, _, path = target.partition(":")
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), target

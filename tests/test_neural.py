@@ -13,10 +13,10 @@ from rnx.neural import (
     NetworkModel,
     build_model,
     dense_forward,
-    gru_step,
+    gru_input,
+    gru_scan,
     init_weights,
     load_model,
-    network_block,
     network_forward,
     save_model,
 )
@@ -64,6 +64,11 @@ def test_dense_width_mismatch():
     lay = make_dense("d", "tanh", np.ones((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         dense_forward(lay, np.zeros(4))
+
+
+def gru_step(layer, x, h):
+    """One recurrence step: gru_scan at T = 1 over the input gates of x, from h."""
+    return gru_scan(layer, gru_input(layer, x)[None], np.asarray(h, dtype=np.float64))[0][1]
 
 
 def test_gru_zero_everything_stays_zero():
@@ -152,7 +157,7 @@ def oracle_forward(model, features, state):
 
 def test_forward_zero_features_fresh_state():
     model = init_weights(0, REFERENCE_DIM)
-    mask, vad, new_state = network_forward(model, np.zeros(REFERENCE_DIM), HiddenState.zeros(model))
+    (mask,), (vad,), new_state = network_forward(model, np.zeros((1, REFERENCE_DIM)), HiddenState.zeros(model))
     # zero features through tanh and zero-bias GRUs leave every gate at its
     # midpoint, so both sigmoid heads sit exactly at one half
     np.testing.assert_array_equal(mask, np.full(22, 0.5))
@@ -166,7 +171,7 @@ def test_forward_matches_wiring_oracle():
     model = build_model(9, widths=(4, 3, 5, 6), seed=rng)
     state = HiddenState(rng.normal(size=3) * 0.3, rng.normal(size=5) * 0.3, rng.normal(size=6) * 0.3)
     features = rng.normal(size=9)
-    mask, vad, new_state = network_forward(model, features, state)
+    (mask,), (vad,), new_state = network_forward(model, features[None], state)
     w_mask, w_vad, (h1, h2, h3) = oracle_forward(model, features, state)
     np.testing.assert_allclose(mask, w_mask, atol=1e-12)
     assert abs(vad - w_vad) < 1e-12
@@ -182,8 +187,8 @@ def test_forward_is_pure_and_deterministic():
     before = {k: v.copy() for k, v in model.parameters().items()}
     h_vad0 = state.h_vad.copy()
     features = rng.normal(size=REFERENCE_DIM)
-    m1, v1, _ = network_forward(model, features, state)
-    m2, v2, _ = network_forward(model, features, state)
+    m1, v1, _ = network_forward(model, features[None], state)
+    m2, v2, _ = network_forward(model, features[None], state)
     np.testing.assert_array_equal(m1, m2)
     assert v1 == v2
     np.testing.assert_array_equal(state.h_vad, h_vad0)
@@ -194,7 +199,7 @@ def test_forward_is_pure_and_deterministic():
 def test_forward_rejects_width_mismatch():
     model = init_weights(0, REFERENCE_DIM)
     with pytest.raises(ValueError):
-        network_forward(model, np.zeros(EXTENDED_DIM), HiddenState.zeros(model))
+        network_forward(model, np.zeros((1, EXTENDED_DIM)), HiddenState.zeros(model))
 
 
 def test_mask_and_vad_ranges():
@@ -202,7 +207,7 @@ def test_mask_and_vad_ranges():
     model = init_weights(5, EXTENDED_DIM)
     state = HiddenState.zeros(model)
     for _ in range(10):
-        mask, vad, state = network_forward(model, rng.normal(size=EXTENDED_DIM), state)
+        (mask,), (vad,), state = network_forward(model, rng.normal(size=(1, EXTENDED_DIM)), state)
         assert mask.shape == (22,)
         assert np.all((mask > 0) & (mask < 1))
         assert 0 < vad < 1
@@ -373,17 +378,18 @@ def test_hidden_state_zeros_shapes():
 
 @pytest.mark.parametrize("dim", [REFERENCE_DIM, EXTENDED_DIM])
 def test_network_block_rows_equal_network_forward(dim):
+    """k one-row calls that carry the state equal one k-row call, bitwise."""
     model = init_weights(21, dim)
     feats = np.random.default_rng(22).normal(size=(7, dim))
     state = HiddenState.zeros(model)
     state.h_noise = np.full(model.noise_gru.out_dim, 0.3)
-    masks, vads, end = network_block(model, feats, state)
-    for k, row in enumerate(feats):
-        mask, vad, state = network_forward(model, row, state)
+    masks, vads, end = network_forward(model, feats, state)
+    for k in range(len(feats)):
+        (mask,), (vad,), state = network_forward(model, feats[k : k + 1], state)
         np.testing.assert_array_equal(masks[k], mask)
         assert vads[k] == vad
     for name in ("h_vad", "h_noise", "h_denoise"):
         np.testing.assert_array_equal(getattr(end, name), getattr(state, name))
     for bad in (feats[0], feats[:0], feats[:, :-1]):
         with pytest.raises(ValueError):
-            network_block(model, bad, state)
+            network_forward(model, bad, state)

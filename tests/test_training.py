@@ -8,7 +8,7 @@ from scipy.special import expit
 from rnx import neural, training
 from rnx.dataset import FeatureDataset
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM
-from rnx.neural import HiddenState, build_model, init_weights, network_block, network_forward
+from rnx.neural import HiddenState, build_model, init_weights, network_forward
 from rnx.training import (
     POWER_FLOOR,
     AdamState,
@@ -275,7 +275,7 @@ def test_forward_cache_agrees_with_streaming_forward():
     state = HiddenState.zeros(model)
     acc = []
     for t in range(5):
-        mask, _, state = network_forward(model, feats[0, t], state)
+        (mask,), _, state = network_forward(model, feats[0, t : t + 1], state)
         acc.append(loss(np.ones(22), mask, 0.5))
     assert abs(val - np.mean(acc)) < 1e-10
 
@@ -290,7 +290,7 @@ def test_training_forward_equals_network_block(dim):
     feats = rng.normal(size=(3, 200, dim))
     fw = training._forward(model, feats)
     for i in range(3):
-        masks, vads, _ = network_block(model, feats[i], HiddenState.zeros(model))
+        masks, vads, _ = network_forward(model, feats[i], HiddenState.zeros(model))
         np.testing.assert_allclose(fw.mask[:, i], masks, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fw.vad[:, i], vads, rtol=0, atol=1e-12)
 
@@ -336,11 +336,11 @@ def test_saturated_network_forward_and_block_raise_no_warning():
     feats = rng.normal(size=(20, REFERENCE_DIM))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        masks, vads, _ = network_block(model, feats, HiddenState.zeros(model))
+        masks, vads, _ = network_forward(model, feats, HiddenState.zeros(model))
         state = HiddenState.zeros(model)
         hops = []
         for row in feats:
-            mask, vad, state = network_forward(model, row, state)
+            (mask,), (vad,), state = network_forward(model, row[None], state)
             hops.append(np.append(mask, vad))
     for heads in (np.column_stack((masks, vads)), np.array(hops)):
         assert np.all(np.isfinite(heads))
@@ -446,7 +446,7 @@ def test_float64_subnormals_are_flushed_in_hop_and_block(monkeypatch):
         state = HiddenState.zeros(model)
         heads, states = [], []
         for row in feats:
-            mask, vad, state = network_forward(model, row, state)
+            (mask,), (vad,), state = network_forward(model, row[None], state)
             heads.append(np.append(mask, vad))
             states.append(np.concatenate((state.h_vad, state.h_noise, state.h_denoise)))
         return np.array(heads), np.array(states)
@@ -473,7 +473,7 @@ def test_float64_subnormals_are_flushed_in_hop_and_block(monkeypatch):
     monkeypatch.setattr(neural, "gru_scan", record)
     state = HiddenState.zeros(model)
     for k in range(0, len(feats), 32):
-        masks, vads, state = network_block(model, feats[k : k + 32], state)
+        masks, vads, state = network_forward(model, feats[k : k + 32], state)
         np.testing.assert_array_equal(np.column_stack((masks, vads)), heads[k : k + 32])
         end = np.concatenate((state.h_vad, state.h_noise, state.h_denoise))
         np.testing.assert_array_equal(end, states[min(k + 32, len(feats)) - 1])
