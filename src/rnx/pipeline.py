@@ -129,8 +129,6 @@ def _render(model, block, mask, vad, net, hidden, carry, bypass_pitch):
     block's (k, 480) output hops, the hidden state and the synthesis carry.
     """
     if net:
-        if len(net) == len(vad):
-            net = slice(None)  # every row: views instead of copies
         feats = feature_rows(block.features[net], block.extended_raw[net], model.feature_dim, model.stats)
         mask[net], vad[net], hidden = network_forward(model, feats, hidden)
     spectrum = block.spectrum
