@@ -46,10 +46,6 @@ class AudioBuffer:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def _format_from_path(path) -> str:
     ext = os.path.splitext(str(path))[1].lower()
@@ -77,8 +73,10 @@ def load_audio(path, format: str | None = None) -> AudioBuffer:
     """
     fmt = format if format is not None else _format_from_path(path)
     if fmt == "raw":
-        data = np.fromfile(path, dtype="<i2")
-        return AudioBuffer(_decode_pcm16(data))
+        data = np.fromfile(path, dtype=np.uint8)
+        if data.size % 2:
+            raise AudioFormatError(f"RAW file {path!r} has {data.size} bytes, not whole PCM-16 samples")
+        return AudioBuffer(_decode_pcm16(data.view("<i2")))
     if fmt != "wav":
         raise AudioFormatError(f"unknown audio format {fmt!r}")
 

@@ -23,7 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 FRAME_LEN = 960
 HOP = 480
 NUM_BINS = FRAME_LEN // 2 + 1  # rfft bins, 50 Hz apart
-BIN_HZ = 48000 / FRAME_LEN
 
 
 def vorbis_window(n):

@@ -70,11 +70,6 @@ class FeatureHistory:
     bfcc_prev2: np.ndarray = field(default_factory=lambda: np.zeros(NUM_BFCC))
     log_energy_prev: np.ndarray = field(default_factory=lambda: np.zeros(bands.NUM_BANDS))
 
-    def update(self, bfcc_now: np.ndarray, log_energies_now: np.ndarray):
-        self.bfcc_prev2 = self.bfcc_prev
-        self.bfcc_prev = np.asarray(bfcc_now, dtype=np.float64).copy()
-        self.log_energy_prev = np.asarray(log_energies_now, dtype=np.float64).copy()
-
 
 def log_band_energies(energies: np.ndarray) -> np.ndarray:
     return np.log(np.asarray(energies, dtype=np.float64) + E_FLOOR)
@@ -107,44 +102,23 @@ def nonstationarity(history: FeatureHistory, energies: np.ndarray) -> float:
     return np.mean(flux, axis=-1)
 
 
-def spectral_shape(
-    spectrum: np.ndarray, centroid: float | None = None, threshold: float = ROLLOFF_THRESHOLD
-) -> np.ndarray:
+def spectral_shape(spectrum: np.ndarray) -> np.ndarray:
     """Raw (centroid, bandwidth, roll-off) of a spectrum, from one bin power.
 
     Centroid is the power-weighted mean bin index and bandwidth the
-    power-weighted spread around `centroid` (default: that mean), both in
-    bin units. Roll-off is the largest bin h with cumulative power below
-    threshold * total power: zero-energy frames roll off at 0, and a single
-    occupied bin k rolls off at k - 1 (the cumulative sum first meets the
-    total at k itself). (..., bins) spectra give (..., 3) rows.
+    power-weighted spread around it, both in bin units. Roll-off is the
+    largest bin h with cumulative power below ROLLOFF_THRESHOLD * total
+    power: zero-energy frames roll off at 0, and a single occupied bin k
+    rolls off at k - 1 (the cumulative sum first meets the total at k
+    itself). (..., bins) spectra give (..., 3) rows.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold {threshold} outside (0, 1)")
     power = np.abs(np.asarray(spectrum)) ** 2
     k = np.arange(power.shape[-1])
     total = power.sum(axis=-1)
-    mean = (k * power).sum(axis=-1) / (total + _EPS)
-    if centroid is None:
-        centroid = mean
-    bandwidth = np.sqrt(((k - np.asarray(centroid)[..., None]) ** 2 * power).sum(axis=-1) / (total + _EPS))
-    below = (np.cumsum(power, axis=-1) < threshold * total[..., None]).sum(axis=-1)
-    return np.array((mean, bandwidth, np.maximum(below - 1, 0)), dtype=np.float64).T
-
-
-def spectral_centroid(spectrum: np.ndarray) -> float:
-    """Power-weighted mean bin index, in bin units."""
-    return float(spectral_shape(spectrum)[0])
-
-
-def spectral_bandwidth(spectrum: np.ndarray, centroid: float) -> float:
-    """Power-weighted spread around the centroid, in bin units."""
-    return float(spectral_shape(spectrum, centroid)[1])
-
-
-def spectral_rolloff(spectrum: np.ndarray, threshold: float = ROLLOFF_THRESHOLD) -> int:
-    """Largest bin h with cumulative power below threshold * total power."""
-    return int(spectral_shape(spectrum, threshold=threshold)[2])
+    centroid = (k * power).sum(axis=-1) / (total + _EPS)
+    bandwidth = np.sqrt(((k - centroid[..., None]) ** 2 * power).sum(axis=-1) / (total + _EPS))
+    below = (np.cumsum(power, axis=-1) < ROLLOFF_THRESHOLD * total[..., None]).sum(axis=-1)
+    return np.array((centroid, bandwidth, np.maximum(below - 1, 0)), dtype=np.float64).T
 
 
 def compute_stats(raw_trios: np.ndarray) -> FeatureStats:
@@ -263,7 +237,7 @@ class FeatureExtractor:
     def process(self, frame: np.ndarray) -> SignalAnalysis:
         # estimate_pitch rejects a bad frame before it changes any state
         period, strength = pitch_mod.estimate_pitch(self.pitch_state, frame)
-        delayed = pitch_mod.pitch_delayed_frame(self.pitch_state, period)
+        delayed = pitch_mod.pitch_delayed_frame(self.pitch_state.history, period)
         spectra = dsp.analyze_frame(np.stack((frame, delayed)))
         analysis, self.history = frame_features(
             spectra[:1], spectra[1:], np.array((period,)), np.array((strength,)), self.history
@@ -298,8 +272,8 @@ def analysis_blocks(x: np.ndarray, clean: np.ndarray | None = None):
         rows = slice(start, start + ANALYSIS_CHUNK)
         period, strength, partial = pitch_mod.track_pitch(histories[rows], last_period, partial)
         last_period = period[-1]
-        offsets = (pitch_mod.PITCH_MAX_PERIOD - period)[:, None] + np.arange(dsp.FRAME_LEN)
-        pitch_spectrum = dsp.analyze_frame(np.take_along_axis(histories[rows], offsets, axis=1))
+        delayed = [pitch_mod.pitch_delayed_frame(h, p) for h, p in zip(histories[rows], period)]
+        pitch_spectrum = dsp.analyze_frame(np.stack(delayed))
         spectrum = dsp.analyze_frame(frames[0][rows])
         block, history = frame_features(spectrum, pitch_spectrum, period, strength, history)
         if clean is not None:

@@ -183,19 +183,16 @@ class HiddenState:
         )
 
 
-def dense_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != layer.in_dim:
-        raise ValueError(f"layer {layer.name}: input width {x.shape[-1]} != {layer.in_dim}")
-    return activate(layer.activation, np.matvec(layer.weights, x) + layer.bias)
-
-
 def gru_input(layer: LayerParams, x: np.ndarray) -> np.ndarray:
-    """The input half W x + b of a GRU's [z, r, c] gates, per row of (..., in_dim) inputs."""
+    """W x + b per row of (..., in_dim) inputs: a GRU's [z, r, c] input gates, or a dense pre-activation."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"layer {layer.name}: input width {x.shape[-1]} != {layer.in_dim}")
     return np.matvec(layer.weights, x) + layer.bias
+
+
+def dense_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
+    return activate(layer.activation, gru_input(layer, x))
 
 
 def _gru_step(activation, gates_x, h, u_zr, u_c, zr, c, h_out, tiny) -> None:

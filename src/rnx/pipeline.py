@@ -1,11 +1,12 @@
 """The denoiser: hop in, hop out, or a whole buffer in frame blocks.
 
-Every 480-sample hop is combined with the previous one into a 960-sample
-analysis frame. The frame is analyzed, pitch is tracked, features are
-extracted from the unfiltered spectrum, the pitch comb filter is applied,
-the network predicts the band mask, and the gains are interpolated and
-applied before overlap-add synthesis. Algorithmic latency is exactly one
-hop: the samples returned for hop k reconstruct hop k-1.
+Every 480-sample hop is combined with the previous one, the tail of the
+stream's pitch history, into a 960-sample analysis frame. The frame is
+analyzed, pitch is tracked, features are extracted from the unfiltered
+spectrum, the pitch comb filter is applied, the network predicts the band
+mask, and the gains are interpolated and applied before overlap-add
+synthesis. Algorithmic latency is exactly one hop: the samples returned
+for hop k reconstruct hop k-1.
 
 Both paths render through one body over a block of analysed frames: the
 network rows, the comb filter, the gains and the synthesis, each once per
@@ -46,7 +47,6 @@ class DenoiserState:
     hidden: HiddenState
     extractor: FeatureExtractor
     carry: np.ndarray  # synthesis overlap tail
-    pending: np.ndarray  # previous input hop
 
 
 @dataclass
@@ -74,7 +74,6 @@ def create_state(model: NetworkModel) -> DenoiserState:
         hidden=HiddenState.zeros(model),
         extractor=FeatureExtractor(),
         carry=np.zeros(dsp.HOP),
-        pending=np.zeros(dsp.HOP),
     )
 
 
@@ -106,10 +105,10 @@ def process_hop(
         raise ValueError(f"expected a hop of {dsp.HOP} samples, got shape {samples.shape}")
     if mask_override is not None:
         mask_override = _checked_mask(mask_override, "mask_override")
-    # the extractor rejects a non-finite frame before it changes any state,
-    # so a rejected hop leaves no trace
-    analysis = state.extractor.process(np.concatenate((state.pending, samples)))
-    state.pending = samples.copy()
+    # the previous hop is the tail of the pitch history; the extractor rejects
+    # a non-finite frame before it changes any state, so a rejected hop leaves no trace
+    previous = state.extractor.pitch_state.history[-dsp.HOP :]
+    analysis = state.extractor.process(np.concatenate((previous, samples)))
     mask = np.ones((1, bands.NUM_BANDS)) if mask_override is None else mask_override[None]
     vad = np.zeros(1)
     net = [0] if mask_override is None and not bypass_mask else []

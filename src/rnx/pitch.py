@@ -215,12 +215,12 @@ def track_pitch(histories: np.ndarray, last_period: int, partial: np.ndarray | N
     return periods, strengths, partials[-1].copy()
 
 
-def pitch_delayed_frame(state: PitchState, period: int) -> np.ndarray:
-    """The 960-sample window ending `period` samples before the current frame."""
+def pitch_delayed_frame(history: np.ndarray, period: int) -> np.ndarray:
+    """A view of the 960-sample window `period` samples behind a 1760-sample history row's frame."""
     if not PITCH_MIN_PERIOD <= period <= PITCH_MAX_PERIOD:
         raise ValueError(f"period {period} outside [{PITCH_MIN_PERIOD}, {PITCH_MAX_PERIOD}]")
     start = PITCH_MAX_PERIOD - period
-    return state.history[start : start + FRAME_LEN].copy()
+    return history[start : start + FRAME_LEN]
 
 
 def comb_filter(x_spec: np.ndarray, p_spec: np.ndarray, band_corr: np.ndarray) -> np.ndarray:

@@ -94,14 +94,6 @@ def _mask_loss_terms(m, m_hat, gamma):
     return loss, np.where(valid, grad, 0.0)
 
 
-def loss(m: np.ndarray, m_hat: np.ndarray, gamma: float) -> float:
-    """Band loss for one frame of targets and predictions."""
-    value, _ = _mask_loss_terms(
-        np.asarray(m, dtype=np.float64), np.asarray(m_hat, dtype=np.float64), gamma
-    )
-    return float(value)
-
-
 def _bce_terms(target, pred):
     """Binary cross-entropy and d/dpred, with the prediction clamped."""
     target = np.asarray(target)
@@ -111,11 +103,6 @@ def _bce_terms(target, pred):
     inside = (pred > LOG_FLOOR) & (pred < 1.0 - LOG_FLOOR)
     grad = np.where(inside, (pc - target) / (pc * (1.0 - pc)), 0.0)
     return value, grad
-
-
-def binary_cross_entropy(target: float, pred: float) -> float:
-    value, _ = _bce_terms(np.float64(target), np.float64(pred))
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

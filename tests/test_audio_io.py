@@ -22,6 +22,18 @@ def test_raw_int16_decoding(tmp_path):
     )
 
 
+def test_raw_odd_byte_count_rejected(tmp_path):
+    # RAW holds whole PCM-16 samples: a trailing odd byte is malformed input,
+    # not a sample to drop; empty and 2-byte files are the controls
+    (tmp_path / "empty.raw").write_bytes(b"")
+    (tmp_path / "one.raw").write_bytes(b"\x01\x80")
+    assert len(load_audio(tmp_path / "empty.raw")) == 0
+    np.testing.assert_array_equal(load_audio(tmp_path / "one.raw").samples, [-32767 / 32768])
+    (tmp_path / "odd.raw").write_bytes(b"\x01\x80\x02")
+    with pytest.raises(AudioFormatError, match="3 bytes"):
+        load_audio(tmp_path / "odd.raw")
+
+
 def test_wav_pcm16_roundtrip_error_bound(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, 4800)

@@ -25,9 +25,7 @@ from rnx.features import (
     mode_dim,
     nonstationarity,
     pitch_dct_features,
-    spectral_bandwidth,
-    spectral_centroid,
-    spectral_rolloff,
+    spectral_shape,
 )
 
 
@@ -76,21 +74,23 @@ def test_derivatives_hand_sequence():
     c1 = np.linspace(0.0, 2.1, 22)
     c2 = np.linspace(-1.0, 3.0, 22)
     c3 = np.linspace(0.5, -0.5, 22)
-    h.update(c1, np.zeros(22))
-    h.update(c2, np.zeros(22))
+    h = FeatureHistory(bfcc_prev=c2, bfcc_prev2=c1)
     d = bfcc_derivatives(h, c3)
     np.testing.assert_allclose(d[:6], (c3 - c2)[:6], atol=1e-15)
     np.testing.assert_allclose(d[6:], (c3 - 2 * c2 + c1)[:6], atol=1e-15)
 
 
 def test_history_update_shifts():
-    h = FeatureHistory()
-    a = np.full(22, 1.0)
-    b = np.full(22, 2.0)
-    h.update(a, np.zeros(22))
-    h.update(b, np.zeros(22))
-    np.testing.assert_array_equal(h.bfcc_prev, b)
-    np.testing.assert_array_equal(h.bfcc_prev2, a)
+    # the extractor's history after two frames holds the second frame's
+    # cepstrum and log energies, and the first frame's cepstrum before it
+    rng = np.random.default_rng(109)
+    x = syn.speech_like(rng, 0.05, pauses=False)
+    ex = FeatureExtractor()
+    a = first_row(ex.process(x[:960]))
+    b = first_row(ex.process(x[480:1440]))
+    np.testing.assert_array_equal(ex.history.bfcc_prev, b.features[:22])
+    np.testing.assert_array_equal(ex.history.bfcc_prev2, a.features[:22])
+    np.testing.assert_array_equal(ex.history.log_energy_prev, log_band_energies(b.band_energies))
 
 
 def test_pitch_dct_matches_oracle():
@@ -103,9 +103,8 @@ def test_pitch_dct_matches_oracle():
 
 
 def test_nonstationarity_hand_value():
-    h = FeatureHistory()
     prev = np.linspace(-1.0, 1.0, 22)
-    h.update(np.zeros(22), prev)
+    h = FeatureHistory(log_energy_prev=prev)
     energies = np.full(22, 3.0)
     want = np.mean(np.abs(np.log(3.0 + 1e-10) - prev))
     assert abs(nonstationarity(h, energies) - want) < 1e-15
@@ -114,41 +113,39 @@ def test_nonstationarity_hand_value():
 def test_centroid_single_and_pair():
     spec = np.zeros(481, dtype=complex)
     spec[100] = 2.0
-    assert abs(spectral_centroid(spec) - 100.0) < 1e-9
+    assert abs(spectral_shape(spec)[0] - 100.0) < 1e-9
     spec[300] = 2.0
-    assert abs(spectral_centroid(spec) - 200.0) < 1e-9
+    assert abs(spectral_shape(spec)[0] - 200.0) < 1e-9
     # unequal powers: weighted mean (1*100 + 3*300) / 4
     spec[100] = 1.0
     spec[300] = math.sqrt(3.0)
-    assert abs(spectral_centroid(spec) - 250.0) < 1e-9
+    assert abs(spectral_shape(spec)[0] - 250.0) < 1e-9
 
 
 def test_centroid_zero_spectrum():
-    assert spectral_centroid(np.zeros(481, dtype=complex)) == 0.0
+    assert spectral_shape(np.zeros(481, dtype=complex))[0] == 0.0
 
 
 def test_bandwidth_cases():
     spec = np.zeros(481, dtype=complex)
     spec[100] = 5.0
-    c = spectral_centroid(spec)
-    assert spectral_bandwidth(spec, c) < 1e-6
+    assert spectral_shape(spec)[1] < 1e-6
     spec[300] = 5.0
-    c = spectral_centroid(spec)
     # two equal lines 200 bins apart: spread is half the distance
-    assert abs(spectral_bandwidth(spec, c) - 100.0) < 1e-6
+    assert abs(spectral_shape(spec)[1] - 100.0) < 1e-6
 
 
 def test_rolloff_pinned_cases():
     spec = np.zeros(481, dtype=complex)
-    assert spectral_rolloff(spec) == 0
+    assert spectral_shape(spec)[2] == 0
     spec[7] = 1.0
-    assert spectral_rolloff(spec) == 6
+    assert spectral_shape(spec)[2] == 6
     spec = np.zeros(481, dtype=complex)
     spec[0] = 1.0
-    assert spectral_rolloff(spec) == 0
+    assert spectral_shape(spec)[2] == 0
     flat = np.ones(481, dtype=complex)
     # cumulative (i+1)/481 stays below 0.9 through i = 431
-    assert spectral_rolloff(flat) == 431
+    assert spectral_shape(flat)[2] == 431
 
 
 def test_rolloff_matches_exhaustive_scan():
@@ -167,14 +164,7 @@ def test_rolloff_matches_exhaustive_scan():
             if run < 0.9 * total:
                 count += 1
         want = max(count - 1, 0)
-        assert spectral_rolloff(spec) == want
-
-
-def test_rolloff_threshold_validation():
-    with pytest.raises(ValueError):
-        spectral_rolloff(np.ones(481), threshold=0.0)
-    with pytest.raises(ValueError):
-        spectral_rolloff(np.ones(481), threshold=1.0)
+        assert spectral_shape(spec)[2] == want
 
 
 def test_shape_features_scale_invariance():
@@ -182,10 +172,9 @@ def test_shape_features_scale_invariance():
     spec = rng.normal(size=481) + 1j * rng.normal(size=481)
     for scale in (0.01, 7.3):
         s = spec * scale
-        assert abs(spectral_centroid(s) - spectral_centroid(spec)) < 1e-6
-        c = spectral_centroid(spec)
-        assert abs(spectral_bandwidth(s, c) - spectral_bandwidth(spec, c)) < 1e-6
-        assert spectral_rolloff(s) == spectral_rolloff(spec)
+        assert abs(spectral_shape(s)[0] - spectral_shape(spec)[0]) < 1e-6
+        assert abs(spectral_shape(s)[1] - spectral_shape(spec)[1]) < 1e-6
+        assert spectral_shape(s)[2] == spectral_shape(spec)[2]
 
 
 def test_stats_hand_values_and_floor():
@@ -287,12 +276,7 @@ def test_extractor_first_two_frames_against_direct_math():
         energies = bands.band_energies(spec)
         np.testing.assert_allclose(analysis.band_energies, energies, atol=1e-12)
         np.testing.assert_allclose(analysis.features[0:22], bfcc(energies), atol=1e-12)
-        c = spectral_centroid(spec)
-        np.testing.assert_allclose(
-            analysis.extended_raw,
-            [c, spectral_bandwidth(spec, c), spectral_rolloff(spec)],
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(analysis.extended_raw, spectral_shape(spec), atol=1e-12)
         assert analysis.features.shape == (REFERENCE_DIM,)
 
     # frame 1 differences fall back to the zero history
@@ -334,7 +318,7 @@ def test_extractor_equals_composed_helpers():
 
         spec = dsp.analyze_frame(frame)
         period, strength = estimate_pitch(pitch_state, frame)
-        p_spec = dsp.analyze_frame(pitch_delayed_frame(pitch_state, period))
+        p_spec = dsp.analyze_frame(pitch_delayed_frame(pitch_state.history, period))
         corr, _ = bands.band_correlation(spec, p_spec)
         energies = bands.band_energies(spec)
         cep = bfcc(energies)
@@ -346,9 +330,8 @@ def test_extractor_equals_composed_helpers():
                 [period / 800.0, nonstationarity(history, energies)],
             )
         )
-        history.update(cep, log_band_energies(energies))
-        centroid = spectral_centroid(spec)
-        trio = [centroid, spectral_bandwidth(spec, centroid), spectral_rolloff(spec)]
+        history = FeatureHistory(cep, history.bfcc_prev, log_band_energies(energies))
+        trio = spectral_shape(spec)
 
         assert got.period == period
         assert got.pitch_strength == strength

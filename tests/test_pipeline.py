@@ -139,7 +139,6 @@ def test_process_hop_rejects_bad_shape():
 def _stream_snapshot(state):
     ex = state.extractor
     return {
-        "pending": state.pending.copy(),
         "carry": state.carry.copy(),
         "pitch_history": ex.pitch_state.history.copy(),
         "last_period": ex.pitch_state.last_period,

@@ -98,7 +98,7 @@ def test_delayed_frame_is_slice_of_history():
     x = rng.uniform(-1, 1, 480 * 8)
     state, _ = feed_signal(x)
     for period in (60, 333, 800):
-        got = pitch_delayed_frame(state, period)
+        got = pitch_delayed_frame(state.history, period)
         want = state.history[800 - period : 800 - period + 960]
         np.testing.assert_array_equal(got, want)
 
@@ -112,7 +112,7 @@ def test_delayed_frame_on_ramp():
     for k in range(hops):
         estimate_pitch(state, ramp[k * 480 : k * 480 + 960])
     current = ramp[(hops - 1) * 480 : (hops - 1) * 480 + 960]
-    delayed = pitch_delayed_frame(state, 100)
+    delayed = pitch_delayed_frame(state.history, 100)
     np.testing.assert_allclose(delayed, current - 100.0 / n, atol=1e-12)
 
 
@@ -122,16 +122,16 @@ def test_delayed_frame_periodic_identity():
     state, results = feed_signal(x)
     period = results[-1][0]
     current = state.history[800:]
-    delayed = pitch_delayed_frame(state, period)
+    delayed = pitch_delayed_frame(state.history, period)
     np.testing.assert_allclose(delayed, current, atol=1e-9)
 
 
 def test_delayed_frame_range_check():
     state = PitchState()
     with pytest.raises(ValueError):
-        pitch_delayed_frame(state, 59)
+        pitch_delayed_frame(state.history, 59)
     with pytest.raises(ValueError):
-        pitch_delayed_frame(state, 801)
+        pitch_delayed_frame(state.history, 801)
 
 
 def test_comb_zero_correlation_is_identity():
@@ -172,7 +172,7 @@ def test_comb_suppresses_between_harmonics():
         frame = x[k * 480 : k * 480 + 960]
         period, _ = estimate_pitch(state, frame)
     x_spec = dsp.analyze_frame(frame)
-    p_spec = dsp.analyze_frame(pitch_delayed_frame(state, period))
+    p_spec = dsp.analyze_frame(pitch_delayed_frame(state.history, period))
     corr, _ = bands.band_correlation(x_spec, p_spec)
     y_spec = comb_filter(x_spec, p_spec, corr)
 

@@ -14,10 +14,10 @@ from rnx.training import (
     AdamState,
     TrainConfig,
     adam_update,
+    _bce_terms,
+    _mask_loss_terms,
     backward_tbptt,
-    binary_cross_entropy,
     clip_gradients,
-    loss,
     sequence_loss,
     train,
 )
@@ -39,11 +39,11 @@ def oracle_band_loss(m, m_hat, gamma):
 
 def test_loss_perfect_ones_is_exactly_zero():
     ones = np.ones(22)
-    assert loss(ones, ones, 0.5) == 0.0
+    assert _mask_loss_terms(ones, ones, 0.5)[0] == 0.0
 
 
 def test_loss_single_band_anchor():
-    got = loss(np.array([1.0]), np.array([0.25]), 0.5)
+    got = _mask_loss_terms(np.array([1.0]), np.array([0.25]), 0.5)[0]
     want = oracle_band_loss([1.0], [0.25], 0.5)
     assert abs(got - want) < 1e-12
     # spelled out: 10*(10*0.75^4 + 0.25 + 0.01*ln4) + 0.5*ln4
@@ -57,7 +57,7 @@ def test_loss_matches_oracle_on_random_vectors():
         m = rng.uniform(0.0, 1.0, 22)
         m_hat = rng.uniform(1e-9, 1.0, 22)
         m[rng.uniform(size=22) < 0.2] = -1.0
-        got = loss(m, m_hat, 0.5)
+        got = _mask_loss_terms(m, m_hat, 0.5)[0]
         assert abs(got - oracle_band_loss(m, m_hat, 0.5)) < 1e-12
 
 
@@ -71,15 +71,15 @@ def test_loss_sentinels_are_inert():
     a = m_hat.copy()
     b = m_hat.copy()
     b[[3, 11, 19]] = rng.uniform(0.0, 1.0, 3)
-    assert loss(sent, a, 0.5) == loss(sent, b, 0.5)
+    assert _mask_loss_terms(sent, a, 0.5)[0] == _mask_loss_terms(sent, b, 0.5)[0]
 
 
 def test_loss_all_sentinels_zero():
-    assert loss(np.full(22, -1.0), np.random.default_rng(0).uniform(size=22), 0.5) == 0.0
+    assert _mask_loss_terms(np.full(22, -1.0), np.random.default_rng(0).uniform(size=22), 0.5)[0] == 0.0
 
 
 def test_loss_log_floor_keeps_it_finite():
-    val = loss(np.ones(4), np.zeros(4), 0.5)
+    val = _mask_loss_terms(np.ones(4), np.zeros(4), 0.5)[0]
     assert math.isfinite(val)
     assert abs(val - oracle_band_loss(np.ones(4), np.zeros(4), 0.5)) < 1e-12
 
@@ -133,26 +133,27 @@ def test_mask_loss_gradient_matches_central_differences(gamma):
             down = m_hat[frame].copy()
             up[band] += step
             down[band] -= step
-            fd = (loss(target, up, gamma) - loss(target, down, gamma)) / (2.0 * step)
+            fd = _mask_loss_terms(target, up, gamma)[0] - _mask_loss_terms(target, down, gamma)[0]
+            fd /= 2.0 * step
             g = grad[frame, band]
             if m[frame, band] < 0:
                 assert g == 0.0 and fd == 0.0
                 continue
             # truncation error, plus the rounding error of the difference quotient
-            value = abs(loss(target, m_hat[frame], gamma))
+            value = abs(_mask_loss_terms(target, m_hat[frame], gamma)[0])
             tol = 1e-6 * max(1.0, abs(fd)) + 4.0 * np.finfo(float).eps * max(1.0, value) / step
             assert abs(g - fd) <= tol, (frame, band, g, fd)
 
 
 def test_bce_values():
-    assert abs(binary_cross_entropy(1.0, 0.5) - math.log(2.0)) < 1e-15
-    assert abs(binary_cross_entropy(0.0, 0.5) - math.log(2.0)) < 1e-15
-    assert abs(binary_cross_entropy(1.0, 0.9) + math.log(0.9)) < 1e-15
+    assert abs(_bce_terms(1.0, 0.5)[0] - math.log(2.0)) < 1e-15
+    assert abs(_bce_terms(0.0, 0.5)[0] - math.log(2.0)) < 1e-15
+    assert abs(_bce_terms(1.0, 0.9)[0] + math.log(0.9)) < 1e-15
     # clamping keeps saturated predictions finite
-    assert abs(binary_cross_entropy(1.0, 0.0) + math.log(1e-7)) < 1e-12
-    assert abs(binary_cross_entropy(0.0, 1.0) + math.log1p(-(1.0 - 1e-7))) < 1e-12
+    assert abs(_bce_terms(1.0, 0.0)[0] + math.log(1e-7)) < 1e-12
+    assert abs(_bce_terms(0.0, 1.0)[0] + math.log1p(-(1.0 - 1e-7))) < 1e-12
     # symmetry under label/prediction complement
-    assert abs(binary_cross_entropy(1.0, 0.3) - binary_cross_entropy(0.0, 0.7)) < 1e-15
+    assert abs(_bce_terms(1.0, 0.3)[0] - _bce_terms(0.0, 0.7)[0]) < 1e-15
 
 
 def test_adam_first_step_moves_by_lr():
@@ -276,7 +277,7 @@ def test_forward_cache_agrees_with_streaming_forward():
     acc = []
     for t in range(5):
         (mask,), _, state = network_forward(model, feats[0, t : t + 1], state)
-        acc.append(loss(np.ones(22), mask, 0.5))
+        acc.append(_mask_loss_terms(np.ones(22), mask, 0.5)[0])
     assert abs(val - np.mean(acc)) < 1e-10
 
 
