@@ -63,8 +63,11 @@ def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray):
     Returns (corr, energies). corr is the real part of the cross-spectrum,
     band-weighted, normalized by the geometric mean of the two band
     energies and clamped to [-1, 1]. energies is band_energies(spectrum),
-    returned so that callers need not compute it again. (..., 481) stacks
-    give (..., 22) results, each row bitwise equal to its own call.
+    returned so that callers need not compute it again. The pitch power
+    and the cross power are band-weighted by one product over a
+    (..., 481, 2) operand; the normalization and the clamp then run in
+    place. (..., 481) stacks give (..., 22) results, each row bitwise equal
+    to its own call.
     """
     spectrum = np.asarray(spectrum)
     pitch_spectrum = np.asarray(pitch_spectrum)
@@ -73,10 +76,17 @@ def band_correlation(spectrum: np.ndarray, pitch_spectrum: np.ndarray):
     ex = band_energies(spectrum)
     xr, xi = spectrum.real, spectrum.imag
     pr, pi = pitch_spectrum.real, pitch_spectrum.imag
-    banded = BAND_WEIGHTS @ np.stack((pr**2 + pi**2, xr * pr + xi * pi), axis=-1)
+    products = np.empty(spectrum.shape + (2,))
+    np.add(np.square(pr), np.square(pi), out=products[..., 0])
+    np.add(xr * pr, xi * pi, out=products[..., 1])
+    banded = BAND_WEIGHTS @ products
     ep, num = banded[..., 0], banded[..., 1]
-    corr = (num / np.sqrt(ex * ep + 1e-15)).clip(-1.0, 1.0)
-    return corr, ex
+    corr = ex * ep
+    corr += 1e-15
+    np.sqrt(corr, out=corr)
+    np.divide(num, corr, out=corr)
+    np.maximum(corr, -1.0, out=corr)
+    return np.minimum(corr, 1.0, out=corr), ex
 
 
 def compute_irm(clean_energies: np.ndarray, noisy_energies: np.ndarray) -> np.ndarray:
@@ -107,10 +117,11 @@ def interpolate_gains(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape[-1:] != (NUM_BANDS,):
         raise ValueError(f"expected {NUM_BANDS} band values, got shape {mask.shape}")
-    if not np.all(mask >= 0.0):  # also catches NaN
+    if not (mask >= 0.0).all():  # also catches NaN
         raise ValueError("mask contains negative or NaN values; replace sentinels before interpolation")
     gains = np.vecmat(np.sqrt(mask), BAND_WEIGHTS)
-    return gains.clip(0.0, 1.0)
+    np.maximum(gains, 0.0, out=gains)
+    return np.minimum(gains, 1.0, out=gains)
 
 
 def apply_gains(spectrum: np.ndarray, gains: np.ndarray) -> np.ndarray:

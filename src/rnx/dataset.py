@@ -49,6 +49,8 @@ class MixConfig:
             raise ValueError("snr range inverted")
         if self.gain_range_db[0] > self.gain_range_db[1]:
             raise ValueError("gain range inverted")
+        if self.frame_target is not None and self.frame_target < 0:
+            raise ValueError("frame_target must not be negative")
 
 
 @dataclass

@@ -23,6 +23,13 @@ network sees it as (raw - mean) / std with the training-set statistics
 that travel with the model. `mode_dim` maps a mode name to its width.
 Derivative and flux histories start at zero, so the first frame's first
 difference equals its cepstrum.
+
+frame_features takes each frame's log band energies once. The cepstra
+are their DCT; the differences and the flux are taken between
+consecutive rows of two stacks, the cepstra and the logs, each with the
+carried history on top as the rows before the block's first frame. One
+concatenate packs the 42 values. Every stage works row by row, so a
+k-row call and k one-row calls give the same bits.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ ROLLOFF_THRESHOLD = 0.9
 # and runs as fast as larger batches and faster than one whole-signal pass
 ANALYSIS_CHUNK = 32
 _EPS = 1e-15
+_BINS = np.arange(dsp.NUM_BINS)  # spectral_shape's bin index
+_BINS.setflags(write=False)
 
 
 @dataclass
@@ -75,17 +84,15 @@ def log_band_energies(energies: np.ndarray) -> np.ndarray:
     return np.log(np.asarray(energies, dtype=np.float64) + E_FLOOR)
 
 
-def bfcc(energies: np.ndarray) -> np.ndarray:
-    """Cepstrum of the 22 band energies: orthonormal DCT of their logs."""
-    return dsp.dct_ii(log_band_energies(energies))
+def bfcc_derivatives(cepstra: np.ndarray):
+    """Backward first and second differences of cepstra 0..5, as two (k, 6) arrays.
 
-
-def bfcc_derivatives(history: FeatureHistory, current: np.ndarray) -> np.ndarray:
-    """Backward first and second differences of cepstra 0..5, 12 values."""
-    c = np.asarray(current, dtype=np.float64)[..., :NUM_DERIV]
-    p = history.bfcc_prev[..., :NUM_DERIV]
-    p2 = history.bfcc_prev2[..., :NUM_DERIV]
-    return np.concatenate((c - p, c - 2.0 * p + p2), axis=-1)
+    `cepstra` stacks k + 2 consecutive frames' cepstra, the two frames
+    before the first of the k at the top; row i of each result belongs to
+    row i + 2.
+    """
+    c, p, p2 = cepstra[2:, :NUM_DERIV], cepstra[1:-1, :NUM_DERIV], cepstra[:-2, :NUM_DERIV]
+    return c - p, c - 2.0 * p + p2
 
 
 def pitch_dct_features(corr: np.ndarray) -> np.ndarray:
@@ -96,10 +103,13 @@ def pitch_dct_features(corr: np.ndarray) -> np.ndarray:
     return dsp.dct_ii(corr)[..., :NUM_PITCH_DCT]
 
 
-def nonstationarity(history: FeatureHistory, energies: np.ndarray) -> float:
-    """Mean absolute change of log band energy since the previous frame."""
-    flux = np.abs(log_band_energies(energies) - history.log_energy_prev)
-    return np.mean(flux, axis=-1)
+def nonstationarity(log_energies: np.ndarray) -> np.ndarray:
+    """Mean absolute change of log band energy, (k,), for the rows after the first of k + 1.
+
+    The sum over the 22 bands divided by 22 is bitwise np.mean's value.
+    """
+    flux = log_energies[1:] - log_energies[:-1]
+    return np.abs(flux, out=flux).sum(axis=-1) / bands.NUM_BANDS
 
 
 def spectral_shape(spectrum: np.ndarray) -> np.ndarray:
@@ -112,13 +122,19 @@ def spectral_shape(spectrum: np.ndarray) -> np.ndarray:
     rolls off at k - 1 (the cumulative sum first meets the total at k
     itself). (..., bins) spectra give (..., 3) rows.
     """
-    power = np.abs(np.asarray(spectrum)) ** 2
-    k = np.arange(power.shape[-1])
+    power = np.abs(np.asarray(spectrum))
+    np.square(power, out=power)
     total = power.sum(axis=-1)
-    centroid = (k * power).sum(axis=-1) / (total + _EPS)
-    bandwidth = np.sqrt(((k - centroid[..., None]) ** 2 * power).sum(axis=-1) / (total + _EPS))
-    below = (np.cumsum(power, axis=-1) < ROLLOFF_THRESHOLD * total[..., None]).sum(axis=-1)
-    return np.array((centroid, bandwidth, np.maximum(below - 1, 0)), dtype=np.float64).T
+    denom = total + _EPS
+    trio = np.empty(power.shape[:-1] + (3,))
+    centroid = np.divide((_BINS * power).sum(axis=-1), denom, out=trio[..., 0])
+    spread = _BINS - centroid[..., None]
+    np.square(spread, out=spread)
+    spread *= power
+    np.sqrt(spread.sum(axis=-1) / denom, out=trio[..., 1])
+    below = (power.cumsum(axis=-1, out=power) < ROLLOFF_THRESHOLD * total[..., None]).sum(axis=-1)
+    np.maximum(below - 1, 0, out=trio[..., 2])
+    return trio
 
 
 def compute_stats(raw_trios: np.ndarray) -> FeatureStats:
@@ -131,22 +147,14 @@ def compute_stats(raw_trios: np.ndarray) -> FeatureStats:
     return FeatureStats(raw_trios.mean(axis=0), raw_trios.std(axis=0))
 
 
-def assemble_features(
-    bfcc_vec: np.ndarray,
-    derivs: np.ndarray,
-    pitch_dct: np.ndarray,
-    period: int,
-    flux: float,
-) -> np.ndarray:
-    """Pack the per-frame parts (or frame-major stacks of them) into the fixed 42-value layout."""
+def assemble_features(cepstrum, derivs, pitch_dct, period, flux) -> np.ndarray:
+    """Pack the parts of one frame, or of a frame-major stack, into the fixed 42-value layout.
+
+    `derivs` is the pair of first and second differences, as bfcc_derivatives returns it.
+    """
+    first, second = derivs
     base = np.concatenate(
-        (
-            np.asarray(bfcc_vec, dtype=np.float64),
-            np.asarray(derivs, dtype=np.float64),
-            np.asarray(pitch_dct, dtype=np.float64),
-            np.array((period / pitch_mod.PITCH_MAX_PERIOD, flux)).T,
-        ),
-        axis=-1,
+        (cepstrum, first, second, pitch_dct, np.array((period / pitch_mod.PITCH_MAX_PERIOD, flux)).T), axis=-1
     )
     if base.shape[-1] != REFERENCE_DIM:
         raise ValueError(f"feature parts assemble to {base.shape}, expected ({REFERENCE_DIM},)")
@@ -207,18 +215,18 @@ def frame_features(spectrum, pitch_spectrum, period, strength, history: FeatureH
     energies) and the history after the last frame.
     """
     corr, energies = bands.band_correlation(spectrum, pitch_spectrum)
-    cepstrum = bfcc(energies)
+    logs = log_band_energies(energies)
+    cepstrum = dsp.dct_ii(logs)
+    # the carried history on top: the rows before the block's first frame
     cepstra = np.concatenate(((history.bfcc_prev2, history.bfcc_prev), cepstrum))
-    log_energies = np.concatenate(((history.log_energy_prev,), log_band_energies(energies)))
-    shifted = FeatureHistory(cepstra[1:-1], cepstra[:-2], log_energies[:-1])
+    logs = np.concatenate(((history.log_energy_prev,), logs))
     features = assemble_features(
-        cepstrum, bfcc_derivatives(shifted, cepstrum), pitch_dct_features(corr), period,
-        nonstationarity(shifted, energies),
+        cepstrum, bfcc_derivatives(cepstra), pitch_dct_features(corr), period, nonstationarity(logs)
     )
     analysis = SignalAnalysis(
         energies, corr, period, strength, features, spectral_shape(spectrum), None, spectrum, pitch_spectrum
     )
-    return analysis, FeatureHistory(cepstra[-1], cepstra[-2], log_energies[-1])
+    return analysis, FeatureHistory(cepstra[-1], cepstra[-2], logs[-1])
 
 
 class FeatureExtractor:
@@ -237,8 +245,10 @@ class FeatureExtractor:
     def process(self, frame: np.ndarray) -> SignalAnalysis:
         # estimate_pitch rejects a bad frame before it changes any state
         period, strength = pitch_mod.estimate_pitch(self.pitch_state, frame)
-        delayed = pitch_mod.pitch_delayed_frame(self.pitch_state.history, period)
-        spectra = dsp.analyze_frame(np.stack((frame, delayed)))
+        frames = np.empty((2, dsp.FRAME_LEN))
+        frames[0] = frame
+        frames[1] = pitch_mod.pitch_delayed_frame(self.pitch_state.history, period)
+        spectra = dsp.analyze_frame(frames)
         analysis, self.history = frame_features(
             spectra[:1], spectra[1:], np.array((period,)), np.array((strength,)), self.history
         )

@@ -128,8 +128,8 @@ def _render(model, block, mask, vad, net, hidden, carry, bypass_pitch):
     block's (k, 480) output hops, the hidden state and the synthesis carry.
     """
     if net:
-        feats = feature_rows(block.features[net], block.extended_raw[net], model.feature_dim, model.stats)
-        mask[net], vad[net], hidden = network_forward(model, feats, hidden)
+        feats = feature_rows(block.features, block.extended_raw, model.feature_dim, model.stats)
+        mask[net], vad[net], hidden = network_forward(model, feats[net], hidden)
     spectrum = block.spectrum
     if not bypass_pitch:
         spectrum = comb_filter(spectrum, block.pitch_spectrum, block.band_corr)

@@ -239,6 +239,8 @@ def comb_filter(x_spec: np.ndarray, p_spec: np.ndarray, band_corr: np.ndarray) -
         raise ValueError("comb_filter expects two half spectra")
     if band_corr.shape != x_spec.shape[:-1] + (NUM_BANDS,):
         raise ValueError(f"expected {NUM_BANDS} band correlations, got shape {band_corr.shape}")
-    alpha_band = band_corr.clip(0.0, 1.0) ** 2
+    alpha_band = np.maximum(band_corr, 0.0)
+    np.minimum(alpha_band, 1.0, out=alpha_band)
+    np.square(alpha_band, out=alpha_band)
     alpha = np.vecmat(alpha_band, BAND_WEIGHTS)
     return (x_spec + alpha * p_spec) / (1.0 + alpha)

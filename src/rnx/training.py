@@ -55,6 +55,14 @@ class TrainConfig:
     batch_sequences: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_sequences < 1 or self.sequence_len < 1:
+            raise ValueError("batch_sequences and sequence_len must be at least 1")
+        if self.epochs < 0 or self.steps_per_epoch < 0:
+            raise ValueError("epochs and steps_per_epoch must not be negative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be finite and positive")
+
 
 # ---------------------------------------------------------------------------
 # loss

@@ -91,6 +91,32 @@ def test_train_writes_model_and_logs(tmp_path, capsys):
     assert model.feature_dim == 42
 
 
+@pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--seq-len", "0"), ("--seq-len", "-3"), ("--lr", "nan")])
+def test_train_invalid_config_fails_cleanly(tmp_path, capsys, flag, value):
+    clean_dir, noise_dir = make_corpus(tmp_path)
+    data = tmp_path / "data.rnxf"
+    assert main([
+        "mix", "--clean", str(clean_dir), "--noise", str(noise_dir),
+        "--out", str(data), "--mode", "reference", "--seed", "4",
+    ]) == 0
+    model = tmp_path / "m.rnxm"
+    code = main(["train", "--data", str(data), "--out", str(model), "--mode", "reference", flag, value])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_mix_negative_frame_cap_fails_cleanly(tmp_path, capsys):
+    clean_dir, noise_dir = make_corpus(tmp_path)
+    out = tmp_path / "neg.rnxf"
+    code = main([
+        "mix", "--clean", str(clean_dir), "--noise", str(noise_dir), "--out", str(out), "--frames", "-5",
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_mode_mismatch_fails(tmp_path, capsys):
     clean_dir, noise_dir = make_corpus(tmp_path)
     data = tmp_path / "data.rnxf"

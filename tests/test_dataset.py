@@ -56,6 +56,10 @@ def test_mix_config_validation():
         MixConfig(snr_range_db=(10.0, -10.0))
     with pytest.raises(ValueError):
         MixConfig(gain_range_db=(6.0, -6.0))
+    # a negative cap used to slice frames off the tail: feats[:-5]
+    with pytest.raises(ValueError, match="frame_target"):
+        MixConfig(frame_target=-5)
+    assert MixConfig(frame_target=0).frame_target == 0
 
 
 def speech_buffer(seed=443, seconds=1.0, scale=1.0):

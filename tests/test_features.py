@@ -16,7 +16,6 @@ from rnx.features import (
     FeatureHistory,
     FeatureStats,
     assemble_features,
-    bfcc,
     bfcc_derivatives,
     compute_stats,
     feature_rows,
@@ -42,6 +41,11 @@ def oracle_dct_ii(x):
     return out
 
 
+def bfcc(energies):
+    """The band cepstrum frame_features computes: the orthonormal DCT of the log band energies."""
+    return dsp.dct_ii(log_band_energies(energies))
+
+
 def test_bfcc_matches_cosine_sum_oracle():
     rng = np.random.default_rng(101)
     energies = rng.uniform(0.0, 5.0, 22)
@@ -64,9 +68,9 @@ def test_log_band_energies_floor():
 def test_derivatives_first_frame():
     h = FeatureHistory()
     c = np.arange(22, dtype=np.float64)
-    d = bfcc_derivatives(h, c)
-    np.testing.assert_array_equal(d[:6], c[:6])
-    np.testing.assert_array_equal(d[6:], c[:6])
+    first, second = bfcc_derivatives(np.stack((h.bfcc_prev2, h.bfcc_prev, c)))
+    np.testing.assert_array_equal(first[0], c[:6])
+    np.testing.assert_array_equal(second[0], c[:6])
 
 
 def test_derivatives_hand_sequence():
@@ -75,9 +79,9 @@ def test_derivatives_hand_sequence():
     c2 = np.linspace(-1.0, 3.0, 22)
     c3 = np.linspace(0.5, -0.5, 22)
     h = FeatureHistory(bfcc_prev=c2, bfcc_prev2=c1)
-    d = bfcc_derivatives(h, c3)
-    np.testing.assert_allclose(d[:6], (c3 - c2)[:6], atol=1e-15)
-    np.testing.assert_allclose(d[6:], (c3 - 2 * c2 + c1)[:6], atol=1e-15)
+    first, second = bfcc_derivatives(np.stack((h.bfcc_prev2, h.bfcc_prev, c3)))
+    np.testing.assert_allclose(first[0], (c3 - c2)[:6], atol=1e-15)
+    np.testing.assert_allclose(second[0], (c3 - 2 * c2 + c1)[:6], atol=1e-15)
 
 
 def test_history_update_shifts():
@@ -107,7 +111,7 @@ def test_nonstationarity_hand_value():
     h = FeatureHistory(log_energy_prev=prev)
     energies = np.full(22, 3.0)
     want = np.mean(np.abs(np.log(3.0 + 1e-10) - prev))
-    assert abs(nonstationarity(h, energies) - want) < 1e-15
+    assert abs(nonstationarity(np.stack((h.log_energy_prev, log_band_energies(energies))))[0] - want) < 1e-15
 
 
 def test_centroid_single_and_pair():
@@ -213,7 +217,7 @@ def test_assemble_layout_and_scaling():
     cep = np.arange(22, dtype=np.float64)
     derivs = np.arange(100, 112, dtype=np.float64)
     pdct = np.arange(200, 206, dtype=np.float64)
-    vec = assemble_features(cep, derivs, pdct, 400, 0.75)
+    vec = assemble_features(cep, (derivs[:6], derivs[6:]), pdct, 400, 0.75)
     assert vec.shape == (REFERENCE_DIM,)
     np.testing.assert_array_equal(vec[0:22], cep)
     np.testing.assert_array_equal(vec[22:34], derivs)
@@ -223,7 +227,7 @@ def test_assemble_layout_and_scaling():
 
 
 def test_assemble_extended_modes():
-    base = assemble_features(np.zeros(22), np.zeros(12), np.zeros(6), 80, 0.0)
+    base = assemble_features(np.zeros(22), (np.zeros(6), np.zeros(6)), np.zeros(6), 80, 0.0)
     trio = np.array([10.0, 20.0, 30.0])
     stats = FeatureStats(np.array([10.0, 10.0, 10.0]), np.array([1.0, 2.0, 4.0]))
     vec = feature_rows(base, trio, EXTENDED_DIM, stats)
@@ -242,7 +246,7 @@ def test_assemble_extended_modes():
 
 def test_assemble_validation():
     cep = np.zeros(22)
-    derivs = np.zeros(12)
+    derivs = (np.zeros(6), np.zeros(6))
     pdct = np.zeros(6)
     base = assemble_features(cep, derivs, pdct, 80, 0.0)
     with pytest.raises(ValueError):
@@ -322,13 +326,10 @@ def test_extractor_equals_composed_helpers():
         corr, _ = bands.band_correlation(spec, p_spec)
         energies = bands.band_energies(spec)
         cep = bfcc(energies)
+        first, second = bfcc_derivatives(np.stack((history.bfcc_prev2, history.bfcc_prev, cep)))
+        flux = nonstationarity(np.stack((history.log_energy_prev, log_band_energies(energies))))
         want = np.concatenate(
-            (
-                cep,
-                bfcc_derivatives(history, cep),
-                pitch_dct_features(corr),
-                [period / 800.0, nonstationarity(history, energies)],
-            )
+            (cep, first[0], second[0], pitch_dct_features(corr), [period / 800.0, flux[0]])
         )
         history = FeatureHistory(cep, history.bfcc_prev, log_band_energies(energies))
         trio = spectral_shape(spec)

@@ -513,6 +513,32 @@ def test_train_mode_dimension_validation():
         train(data, TrainConfig(epochs=0), mode="fancy")
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"batch_sequences": 0},
+        {"batch_sequences": -2},
+        {"sequence_len": 0},
+        {"sequence_len": -3},
+        {"epochs": -1},
+        {"steps_per_epoch": -1},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1e-3},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+    ],
+)
+def test_train_config_rejects_invalid_values(bad):
+    # a zero batch or sequence length used to reach backward_tbptt's 1 / (B T)
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+
+
+def test_train_config_accepts_boundary_values():
+    cfg = TrainConfig(epochs=0, steps_per_epoch=0, sequence_len=1, batch_sequences=1, learning_rate=1e-9)
+    assert (cfg.sequence_len, cfg.batch_sequences) == (1, 1)
+
+
 def test_train_rejects_short_dataset():
     rng = np.random.default_rng(373)
     data = synthetic_dataset(rng, 10, REFERENCE_DIM)
