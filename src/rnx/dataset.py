@@ -45,10 +45,12 @@ class MixConfig:
     frame_target: int | None = None
 
     def __post_init__(self):
-        if self.snr_range_db[0] > self.snr_range_db[1]:
-            raise ValueError("snr range inverted")
-        if self.gain_range_db[0] > self.gain_range_db[1]:
-            raise ValueError("gain range inverted")
+        for what, (low, high) in (("snr", self.snr_range_db), ("gain", self.gain_range_db)):
+            # a NaN or infinite bound, or a width that overflows, makes high - low non-finite
+            if not np.isfinite(float(high) - float(low)):
+                raise ValueError(f"{what} range {low}..{high} is not finite")
+            if low > high:
+                raise ValueError(f"{what} range inverted")
         if self.frame_target is not None and self.frame_target < 0:
             raise ValueError("frame_target must not be negative")
 
@@ -194,8 +196,12 @@ def build_dataset(clean_paths, noise_paths, cfg: MixConfig, mode, out_path, thre
         (clean_paths[i], noise_paths[i % len(noise_paths)], children[i], cfg, mode)
         for i in range(len(clean_paths))
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    # the pool starts all its workers at once: no more than there are jobs
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mix_job, jobs))
     else:
         results = [_mix_job(job) for job in jobs]

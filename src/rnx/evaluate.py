@@ -77,6 +77,8 @@ def log_spectral_distance(clean, test) -> float:
 
 
 def score_pair(clean, test, system: str = "test", condition: str = "all") -> MetricsReport:
+    if not re.fullmatch(r"\S+", condition):
+        raise ValueError(f"condition {condition!r} must be non-empty and contain no whitespace")
     c = _samples(clean)
     n_frames = len(c) // SEG_FRAME
     return MetricsReport(

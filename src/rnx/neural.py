@@ -18,19 +18,21 @@ Weights live in float64 in memory and as float32 in the model file; fresh
 models are rounded through float32 at init so a save/load round trip is
 bit-exact.
 
-One recurrence step, run by `gru_scan` over a time axis, serves both
-drivers: `network_forward` over a block of frames (a streamed hop is a
-block of one) and training over its batches. The caller computes the
-input gates and picks the recurrent operands: inference multiplies by
-views of the transposed weights, which keeps a k-row block bitwise equal
-to k one-row blocks (a C-contiguous copy changes the bits); training
-multiplies its (B, u) batches by C-contiguous copies, which took half the
-time of the views.
+One engine, `forward`, runs the wiring over time-major frames: a (T, F)
+block of consecutive frames (a streamed hop is a block of one) for
+`network_forward`, or a (T, B, F) batch of sequences for training. It
+keeps every activation the backward pass reads. The products follow one
+rule, the rank of the input: a (T, B, .) batch multiplies all its rows
+by one 2-D GEMM (`rows_times`) and its states by C-contiguous copies of
+the transposed recurrent weights, which took half the time of views;
+anything else multiplies row by row (np.matvec) and by views of the
+transposed weights, which keeps a k-row block bitwise equal to k
+one-row blocks (a C-contiguous copy changes the bits).
 
 The logistic is numpy's exp, +1 and reciprocal of -a in place, a third of
 the time of scipy's expit on batched float32 gates. exp overflows to inf
-for a < -88 in float32 (-709 in float64), giving exactly 0; callers of
-the drivers silence that with np.errstate(over="ignore").
+for a < -88 in float32 (-709 in float64), giving exactly 0; `forward`
+silences that with np.errstate(over="ignore").
 
 Each step sets every state entry with |h| < finfo(dtype).tiny to 0. A
 ReLU candidate is often exactly 0, and h then decays by z each frame into
@@ -183,12 +185,26 @@ class HiddenState:
         )
 
 
+def rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w over the last axis of x (..., in), as one 2-D GEMM.
+
+    numpy runs a (T, B, in) @ (in, out) product as T small GEMMs; one
+    (T*B, in) GEMM took a third of the time on two OpenBLAS threads.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
 def gru_input(layer: LayerParams, x: np.ndarray) -> np.ndarray:
-    """W x + b per row of (..., in_dim) inputs: a GRU's [z, r, c] input gates, or a dense pre-activation."""
-    x = np.asarray(x, dtype=np.float64)
+    """W x + b per row of (..., in_dim) inputs: a GRU's [z, r, c] input gates, or a dense pre-activation.
+
+    A (T, B, in_dim) batch takes one GEMM, anything else np.matvec (the rank rule, see above).
+    """
+    x = np.asarray(x)
     if x.shape[-1] != layer.in_dim:
         raise ValueError(f"layer {layer.name}: input width {x.shape[-1]} != {layer.in_dim}")
-    return np.matvec(layer.weights, x) + layer.bias
+    a = rows_times(x, layer.weights.T) if x.ndim == 3 else np.matvec(layer.weights, x)
+    a += layer.bias
+    return a
 
 
 def dense_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
@@ -206,17 +222,17 @@ def _gru_step(activation, gates_x, h, u_zr, u_c, zr, c, h_out, tiny) -> None:
     flush_subnormals(h_out, tiny)
 
 
-def gru_scan(layer: LayerParams, gates_x: np.ndarray, h0: np.ndarray, recurrent=None):
+def gru_scan(layer: LayerParams, gates_x: np.ndarray, h0: np.ndarray):
     """The recurrence over the leading time axis of input gates (T, ..., 3u) from the state h0 (..., u).
 
     Returns the states h (T+1, ..., u) with h[0] = h0, the z then r gates
-    zr (T, ..., 2u) and the candidates c (T, ..., u). `recurrent` is the
-    pair (U[:2u].T, U[2u:].T), views of layer.recurrent by default.
+    zr (T, ..., 2u) and the candidates c (T, ..., u). (T, B, 3u) gates take
+    C-contiguous copies of U[:2u].T and U[2u:].T, anything else views.
     """
     u = layer.out_dim
-    if recurrent is None:
-        recurrent = layer.recurrent[: 2 * u].T, layer.recurrent[2 * u :].T
-    u_zr, u_c = recurrent
+    u_zr, u_c = layer.recurrent[: 2 * u].T, layer.recurrent[2 * u :].T
+    if gates_x.ndim == 3:
+        u_zr, u_c = np.ascontiguousarray(u_zr), np.ascontiguousarray(u_c)
     t, lead, dtype = len(gates_x), gates_x.shape[1:-1], gates_x.dtype
     h = np.empty((t + 1, *lead, u), dtype)
     h[0] = h0
@@ -228,31 +244,70 @@ def gru_scan(layer: LayerParams, gates_x: np.ndarray, h0: np.ndarray, recurrent=
     return h, zr, c
 
 
+@dataclass
+class GruActivations:
+    x: np.ndarray  # (T, ..., in) inputs
+    h: np.ndarray  # (T+1, ..., out), h[0] is the initial state
+    zr: np.ndarray  # (T, ..., 2*out): update gates z, then reset gates r
+    c: np.ndarray  # (T, ..., out) candidates
+
+    @property
+    def out(self):
+        return self.h[1:]
+
+
+@dataclass
+class Activations:
+    feats: np.ndarray  # (T, ..., F)
+    dense: np.ndarray
+    vad_gru: GruActivations
+    noise_gru: GruActivations
+    denoise_gru: GruActivations
+    mask: np.ndarray  # (T, ..., 22)
+    vad: np.ndarray  # (T, ...)
+
+
+def _gru_forward(layer: LayerParams, x: np.ndarray, h0: np.ndarray) -> GruActivations:
+    return GruActivations(x, *gru_scan(layer, gru_input(layer, x), h0))
+
+
+def forward(model: NetworkModel, x: np.ndarray, state: HiddenState) -> Activations:
+    """The wiring over time-major frames x, (T, F) or (T, B, F), from `state`; keeps every activation.
+
+    The dense layer, each GRU's input projection and both heads run once
+    for all frames; only the recurrence steps loop over time. A (T, B, F)
+    batch broadcasts (u,) states over its B sequences. Neither the model
+    nor the state is mutated.
+    """
+    with np.errstate(over="ignore"):
+        dense = dense_forward(model.dense_in, x)
+        vad_gru = _gru_forward(model.vad_gru, dense, state.h_vad)
+        noise_gru = _gru_forward(
+            model.noise_gru, np.concatenate((dense, vad_gru.out, x), axis=-1), state.h_noise
+        )
+        denoise_gru = _gru_forward(
+            model.denoise_gru, np.concatenate((vad_gru.out, noise_gru.out, x), axis=-1), state.h_denoise
+        )
+        mask = dense_forward(model.gains_out, denoise_gru.out)
+        vad = dense_forward(model.vad_out, vad_gru.out)[..., 0]
+    return Activations(x, dense, vad_gru, noise_gru, denoise_gru, mask, vad)
+
+
 def network_forward(model: NetworkModel, features: np.ndarray, state: HiddenState):
     """Run the full wiring over a (k, feature_dim) block of consecutive frames.
 
     Returns (masks (k, 22), vads (k,), state after the last frame); k
-    one-row calls that carry the state give the same rows bitwise. The
-    dense layer, each GRU's input projection and both heads run once for
-    the block; only the recurrence steps loop over frames. Extended-mode
-    features must already be standardized. Pure: neither the model nor
-    the passed state is mutated.
+    one-row calls that carry the state give the same rows bitwise.
+    Extended-mode features must already be standardized. Pure: neither
+    the model nor the passed state is mutated.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != model.feature_dim or not len(features):
         raise ValueError(
             f"feature block {features.shape} is not (k >= 1, feature_dim {model.feature_dim})"
         )
-    with np.errstate(over="ignore"):
-        dense = dense_forward(model.dense_in, features)
-        h_vad = gru_scan(model.vad_gru, gru_input(model.vad_gru, dense), state.h_vad)[0][1:]
-        vads = dense_forward(model.vad_out, h_vad)[:, 0]
-        noise_in = gru_input(model.noise_gru, np.concatenate((dense, h_vad, features), axis=-1))
-        h_noise = gru_scan(model.noise_gru, noise_in, state.h_noise)[0][1:]
-        denoise_in = gru_input(model.denoise_gru, np.concatenate((h_vad, h_noise, features), axis=-1))
-        h_denoise = gru_scan(model.denoise_gru, denoise_in, state.h_denoise)[0][1:]
-        masks = dense_forward(model.gains_out, h_denoise)
-    return masks, vads, HiddenState(h_vad[-1], h_noise[-1], h_denoise[-1])
+    fw = forward(model, features, state)
+    return fw.mask, fw.vad, HiddenState(fw.vad_gru.h[-1], fw.noise_gru.h[-1], fw.denoise_gru.h[-1])
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out: int) -> np.ndarray:

@@ -11,21 +11,21 @@ gradient. All heavy math vectorizes over (batch, time); only the GRU
 recurrences run a per-step python loop.
 
 Callers pass batch-major (B, T, ...) arrays. The forward pass transposes
-the features once, and every cache, activation and gate delta inside the
-engine is time-major (T, B, ...), so each recurrence step reads and writes
+the features once, and every activation and gate delta after that is
+time-major (T, B, ...), so each recurrence step reads and writes
 one contiguous (B, ...) slice. Parameter gradients sum over all T*B rows
 and need no transpose back.
 
-The forward recurrence is `neural.gru_scan`, the step the denoiser runs,
-with its logistic and its flush of subnormal states (see `neural`); this
-module computes the input gates and the heads over (T, B, ...) arrays as
-one (T*B, ...) GEMM each. The backward pass flushes its carry and its z/r
-gate deltas the same way.
+The forward pass is `neural.forward`, the engine the denoiser runs, over
+the (T, B, F) batch: its batched products, its logistic and its flush of
+subnormal states (see `neural`), and every activation the backward pass
+reads. The backward pass flushes its carry and its z/r gate deltas the
+same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,79 +117,13 @@ def _bce_terms(target, pred):
 # forward / backward engine
 
 
-def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w over the last axis of x (..., in), as one 2-D GEMM.
-
-    numpy runs a (T, B, in) @ (in, out) product as T small GEMMs; one
-    (T*B, in) GEMM took a third of the time on two OpenBLAS threads.
-    """
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
-
-
-def _dense_rows(layer, x):
-    """A dense layer over the rows of x (..., in)."""
-    a = _rows_times(x, layer.weights.T)
-    a += layer.bias
-    return neural.activate(layer.activation, a)
-
-
-@dataclass
-class _GruCache:
-    x: np.ndarray  # (T, B, in)
-    h: np.ndarray  # (T+1, B, out), h[0] is the initial state
-    zr: np.ndarray  # (T, B, 2*out): update gates z, then reset gates r
-    c: np.ndarray  # (T, B, out) candidates
-
-    @property
-    def out(self):
-        return self.h[1:]
-
-
-def _gru_scan(layer, x):
-    """Run one GRU over time-major inputs x (T, B, in) from a zero state."""
-    u = layer.out_dim
-    gx = _rows_times(x, layer.weights.T)
-    gx += layer.bias
-    recurrent = (np.ascontiguousarray(layer.recurrent[: 2 * u].T),
-                 np.ascontiguousarray(layer.recurrent[2 * u :].T))
-    h, zr, c = neural.gru_scan(layer, gx, np.zeros((x.shape[1], u), x.dtype), recurrent)
-    return _GruCache(x, h, zr, c)
-
-
-@dataclass
-class _ForwardCache:
-    feats: np.ndarray  # (T, B, F)
-    dense: np.ndarray
-    vad_gru: _GruCache
-    noise_gru: _GruCache
-    denoise_gru: _GruCache
-    mask: np.ndarray  # (T, B, 22)
-    vad: np.ndarray  # (T, B)
-
-
-def _forward(model: neural.NetworkModel, feats: np.ndarray) -> _ForwardCache:
-    """Forward pass with caches over batch-major feats (B, T, F); caches are time-major."""
+def _forward(model: neural.NetworkModel, feats: np.ndarray) -> neural.Activations:
+    """The engine over batch-major feats (B, T, F) from zero states; its activations are time-major."""
     x = np.ascontiguousarray(feats.transpose(1, 0, 2))
-    with np.errstate(over="ignore"):
-        dense = _dense_rows(model.dense_in, x)
-        g1 = _gru_scan(model.vad_gru, dense)
-        g2 = _gru_scan(model.noise_gru, np.concatenate((dense, g1.out, x), axis=2))
-        g3 = _gru_scan(model.denoise_gru, np.concatenate((g1.out, g2.out, x), axis=2))
-        mask = _dense_rows(model.gains_out, g3.out)
-        vad = _dense_rows(model.vad_out, g1.out)[..., 0]
-    return _ForwardCache(x, dense, g1, g2, g3, mask, vad)
+    return neural.forward(model, x, neural.HiddenState.zeros(model))
 
 
-def _promote(feats, gains, vads):
-    feats = np.asarray(feats)
-    gains = np.asarray(gains)
-    vads = np.asarray(vads)
-    if feats.ndim == 2:
-        feats, gains, vads = feats[None], gains[None], vads[None]
-    return feats, gains, vads
-
-
-def _time_major_loss_terms(fw: _ForwardCache, gains, vads, gamma, vad_weight):
+def _time_major_loss_terms(fw: neural.Activations, gains, vads, gamma, vad_weight):
     """Per-frame band loss, BCE, and their gradients, against (B, T, ...) targets."""
     band, d_mask = _mask_loss_terms(gains.transpose(1, 0, 2), fw.mask, gamma)
     bce, d_vad = _bce_terms(vads.T, fw.vad)
@@ -197,13 +131,12 @@ def _time_major_loss_terms(fw: _ForwardCache, gains, vads, gamma, vad_weight):
 
 
 def sequence_loss(model, feats, gains, vads, gamma=0.5, vad_weight=0.5) -> float:
-    """Mean per-frame total loss over (batch of) sequences; forward only."""
-    feats, gains, vads = _promote(feats, gains, vads)
+    """Mean per-frame total loss over (B, T, ...) sequences; forward only."""
     total, _, _ = _time_major_loss_terms(_forward(model, feats), gains, vads, gamma, vad_weight)
     return float(np.mean(total))
 
 
-def _gru_gate_deltas(layer, cache: _GruCache, delta_out: np.ndarray) -> np.ndarray:
+def _gru_gate_deltas(layer, cache: neural.GruActivations, delta_out: np.ndarray) -> np.ndarray:
     """Backprop one GRU's recurrence; returns the (T, B, 3*out) gate pre-activation deltas."""
     t, b, u = delta_out.shape
     u_c = layer.recurrent[2 * u :]
@@ -232,7 +165,7 @@ def _gru_gate_deltas(layer, cache: _GruCache, delta_out: np.ndarray) -> np.ndarr
     return gates
 
 
-def _gru_backward(layer, cache: _GruCache, delta_out: np.ndarray, n_in: int):
+def _gru_backward(layer, cache: neural.GruActivations, delta_out: np.ndarray, n_in: int):
     """Backprop one GRU over its scan; returns (dW, dU, db, dX), dX time-major.
 
     dX covers only the first n_in input columns: the ones fed by upstream
@@ -276,10 +209,9 @@ def backward_tbptt(
     mean loss). Gradients are clipped to the global norm unless clip_norm
     is None. Hidden states start at zero for every sequence.
     """
-    feats, gains, vads = _promote(feats, gains, vads)
+    if feats.ndim != 3 or feats.shape[2] != model.feature_dim:
+        raise ValueError(f"features {feats.shape} are not (B, T, model feature_dim {model.feature_dim})")
     b, t, _ = feats.shape
-    if feats.shape[2] != model.feature_dim:
-        raise ValueError(f"feature width {feats.shape[2]} != model feature_dim {model.feature_dim}")
     fw = _forward(model, feats)
 
     total, d_mask, d_vad = _time_major_loss_terms(fw, gains, vads, gamma, vad_weight)
@@ -298,13 +230,13 @@ def backward_tbptt(
     h3_flat = fw.denoise_gru.out.reshape(t * b, -1)
     grads["gains_out.W"] = da_g.reshape(t * b, -1).T @ h3_flat
     grads["gains_out.b"] = da_g.sum(axis=(0, 1))
-    d_h3 = _rows_times(da_g, model.gains_out.weights)
+    d_h3 = neural.rows_times(da_g, model.gains_out.weights)
 
     da_v = (d_vad * fw.vad * (1.0 - fw.vad))[..., None]
     h1_flat = fw.vad_gru.out.reshape(t * b, -1)
     grads["vad_out.W"] = da_v.reshape(t * b, 1).T @ h1_flat
     grads["vad_out.b"] = da_v.sum(axis=(0, 1))
-    d_h1 = _rows_times(da_v, model.vad_out.weights)
+    d_h1 = neural.rows_times(da_v, model.vad_out.weights)
 
     d_w, d_u, d_b, d_x3 = _gru_backward(model.denoise_gru, fw.denoise_gru, d_h3, n2 + n3)
     grads["denoise_gru.W"], grads["denoise_gru.U"], grads["denoise_gru.b"] = d_w, d_u, d_b

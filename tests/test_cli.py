@@ -117,6 +117,16 @@ def test_mix_negative_frame_cap_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--snr-min", "nan"], ["--snr-min=-1e308", "--snr-max=1e308"]])
+def test_mix_non_finite_snr_range_fails_cleanly(tmp_path, capsys, flags):
+    clean_dir, noise_dir = make_corpus(tmp_path)
+    out = tmp_path / "nan.rnxf"
+    code = main(["mix", "--clean", str(clean_dir), "--noise", str(noise_dir), "--out", str(out), *flags])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_mode_mismatch_fails(tmp_path, capsys):
     clean_dir, noise_dir = make_corpus(tmp_path)
     data = tmp_path / "data.rnxf"
@@ -201,6 +211,22 @@ def test_eval_writes_report(tmp_path, capsys):
         assert pat.match(line), line
     assert report.exists()
     assert len(report.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("condition", ["street snr5", "", "snr5\t"])
+def test_eval_rejects_unparseable_condition(tmp_path, capsys, condition):
+    # a report with such a condition could not be read back by parse_report
+    sig = syn.speech_like(np.random.default_rng(919), 1.0, pauses=False) * 0.4
+    path = tmp_path / "x.wav"
+    store_audio(AudioBuffer(sig), path)
+    report = tmp_path / "report.txt"
+    code = main([
+        "eval", "--clean", str(path), "--noisy", str(path), "--denoised-a", str(path),
+        "--denoised-b", str(path), "--report", str(report), "--condition", condition,
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_features_dump(tmp_path, capsys):

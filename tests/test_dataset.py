@@ -1,3 +1,4 @@
+import math
 import statistics
 import struct
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import synthetic as syn
-from rnx import bands, dsp
+from rnx import bands, dataset, dsp
 from rnx.audio_io import AudioBuffer, store_audio
 from rnx.dataset import (
     FeatureFileError,
@@ -60,6 +61,11 @@ def test_mix_config_validation():
     with pytest.raises(ValueError, match="frame_target"):
         MixConfig(frame_target=-5)
     assert MixConfig(frame_target=0).frame_target == 0
+    # rng.uniform used to die on these at mix time with a bare OverflowError
+    for bounds in ((math.nan, 5.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)):
+        for field in ("snr_range_db", "gain_range_db"):
+            with pytest.raises(ValueError, match="not finite"):
+                MixConfig(**{field: bounds})
 
 
 def speech_buffer(seed=443, seconds=1.0, scale=1.0):
@@ -257,6 +263,40 @@ def test_build_dataset_thread_count_invariance(tmp_path):
     build_dataset(clean, noise, MixConfig(seed=21), "reference", out1, threads=1)
     build_dataset(clean, noise, MixConfig(seed=21), "reference", out2, threads=2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        RecordingPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_build_dataset_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    clean, noise = corpus(tmp_path, n_clean=3)
+    monkeypatch.setattr(dataset, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.started = []
+    build_dataset(clean, noise, MixConfig(seed=21), "reference", tmp_path / "a.rnxf", threads=64)
+    build_dataset(clean, noise, MixConfig(seed=21), "reference", tmp_path / "b.rnxf", threads=2)
+    build_dataset(clean[:1], noise, MixConfig(seed=21), "reference", tmp_path / "c.rnxf", threads=8)
+    assert RecordingPool.started == [3, 2]  # one job runs in this process, with no pool
+    assert (tmp_path / "a.rnxf").read_bytes() == (tmp_path / "b.rnxf").read_bytes()
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads"):
+            build_dataset(clean, noise, MixConfig(seed=21), "reference", tmp_path / "d.rnxf", threads=threads)
+    assert RecordingPool.started == [3, 2]
+    assert not (tmp_path / "d.rnxf").exists()
 
 
 def test_build_dataset_frame_target(tmp_path):

@@ -167,6 +167,18 @@ def test_ab_compare_structure_and_deltas(tmp_path):
         assert (export / f"{stem}.wav").exists()
 
 
+@pytest.mark.parametrize("condition", ["street snr5", "", " snr5", "snr5\n"])
+def test_unparseable_condition_is_rejected_before_scoring(monkeypatch, condition):
+    x = speech(823)
+    scored = []
+    monkeypatch.setattr("rnx.evaluate.segmental_snr", lambda *a: scored.append(a) or 0.0)
+    with pytest.raises(ValueError, match="condition"):
+        score_pair(x, x, condition=condition)
+    with pytest.raises(ValueError, match="condition"):
+        ab_compare(x, x, x, x, condition=condition)
+    assert scored == []
+
+
 def test_ab_compare_identical_systems_zero_deltas():
     clean = speech(809) * 0.4
     noise = syn.stationary_noise(np.random.default_rng(811), 1.0)

@@ -251,6 +251,9 @@ def test_backward_rejects_width_mismatch():
     feats, gains, vads = tiny_batch(rng, b=1, t=4, dim=EXTENDED_DIM)
     with pytest.raises(ValueError):
         backward_tbptt(model, feats, gains, vads)
+    feats, gains, vads = tiny_batch(rng, b=1, t=4)
+    with pytest.raises(ValueError):  # one (T, F) sequence, not a (B, T, F) batch
+        backward_tbptt(model, feats[0], gains[0], vads[0])
 
 
 def test_backward_clipping_caps_global_norm():
@@ -283,9 +286,9 @@ def test_forward_cache_agrees_with_streaming_forward():
 
 @pytest.mark.parametrize("dim", [REFERENCE_DIM, EXTENDED_DIM])
 def test_training_forward_equals_network_block(dim):
-    # float64 training forward (GEMMs, C-contiguous recurrent copies)
-    # against the inference block path (per-row products, transposed
-    # views), sequence by sequence
+    # float64 training forward, a (T, B, F) batch (GEMMs, C-contiguous
+    # recurrent copies), against the inference block path, (T, F) blocks
+    # (per-row products, transposed views), sequence by sequence
     rng = np.random.default_rng(401)
     model = init_weights(12, dim)
     feats = rng.normal(size=(3, 200, dim))
@@ -294,6 +297,12 @@ def test_training_forward_equals_network_block(dim):
         masks, vads, _ = network_forward(model, feats[i], HiddenState.zeros(model))
         np.testing.assert_allclose(fw.mask[:, i], masks, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fw.vad[:, i], vads, rtol=0, atol=1e-12)
+        block = neural.forward(model, feats[i], HiddenState.zeros(model))
+        for name in ("vad_gru", "noise_gru", "denoise_gru"):
+            for part in ("x", "h", "zr", "c"):
+                got = getattr(getattr(fw, name), part)[:, i]
+                want = getattr(getattr(block, name), part)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{name}.{part}")
 
 
 def saturating_model(dtype, seed):
@@ -362,7 +371,7 @@ def test_scan_gates_match_expit_within_4_ulp():
                          (model.denoise_gru, fw.denoise_gru)):
         u = layer.out_dim
         # the scan's own products, un-negated: negation is exact in every step
-        gx = training._rows_times(cache.x, layer.weights.T) + layer.bias
+        gx = neural.rows_times(cache.x, layer.weights.T) + layer.bias
         u_zr = np.ascontiguousarray(layer.recurrent[: 2 * u].T)
         pre = np.stack([gx[i, :, : 2 * u] + cache.h[i] @ u_zr for i in range(len(gx))])
         assert np.abs(pre).max() > 10.0
