@@ -265,37 +265,35 @@ def test_build_dataset_thread_count_invariance(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
-
+def test_build_dataset_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
     started = []
 
-    def __init__(self, max_workers):
-        RecordingPool.started.append(max_workers)
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
 
-    def __enter__(self):
-        return self
+        def __init__(self, max_workers):
+            started.append(max_workers)
 
-    def __exit__(self, *exc):
-        return False
+        def __enter__(self):
+            return self
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+        def __exit__(self, *exc):
+            return False
 
+        def map(self, fn, jobs):
+            return map(fn, jobs)
 
-def test_build_dataset_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
     clean, noise = corpus(tmp_path, n_clean=3)
     monkeypatch.setattr(dataset, "ProcessPoolExecutor", RecordingPool)
-    RecordingPool.started = []
     build_dataset(clean, noise, MixConfig(seed=21), "reference", tmp_path / "a.rnxf", threads=64)
     build_dataset(clean, noise, MixConfig(seed=21), "reference", tmp_path / "b.rnxf", threads=2)
     build_dataset(clean[:1], noise, MixConfig(seed=21), "reference", tmp_path / "c.rnxf", threads=8)
-    assert RecordingPool.started == [3, 2]  # one job runs in this process, with no pool
+    assert started == [3, 2]  # one job runs in this process, with no pool
     assert (tmp_path / "a.rnxf").read_bytes() == (tmp_path / "b.rnxf").read_bytes()
     for threads in (0, -2):
         with pytest.raises(ValueError, match="threads"):
             build_dataset(clean, noise, MixConfig(seed=21), "reference", tmp_path / "d.rnxf", threads=threads)
-    assert RecordingPool.started == [3, 2]
+    assert started == [3, 2]
     assert not (tmp_path / "d.rnxf").exists()
 
 
