@@ -19,6 +19,8 @@ PCM_SCALE = 32768.0
 # Largest storable value: int16 tops out at 32767, so +1.0 cannot survive a
 # round trip and is clipped to 32767/32768.
 PCM_MAX = 32767.0 / 32768.0
+# file suffix (matched in any case) -> the format load_audio and store_audio infer from it
+AUDIO_SUFFIXES = {".wav": "wav", ".raw": "raw", ".pcm": "raw", ".sw": "raw"}
 
 
 class AudioFormatError(ValueError):
@@ -48,14 +50,12 @@ class AudioBuffer:
 
 
 def _format_from_path(path) -> str:
-    ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".wav":
-        return "wav"
-    if ext in (".raw", ".pcm", ".sw"):
-        return "raw"
-    raise AudioFormatError(
-        f"cannot infer audio format from {path!r}; pass format='wav' or format='raw'"
-    )
+    fmt = AUDIO_SUFFIXES.get(os.path.splitext(str(path))[1].lower())
+    if fmt is None:
+        raise AudioFormatError(
+            f"cannot infer audio format from {path!r}; pass format='wav' or format='raw'"
+        )
+    return fmt
 
 
 def _decode_pcm16(data: np.ndarray) -> np.ndarray:

@@ -15,15 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from rnx import dataset, evaluate, neural, pipeline, training
-
-AUDIO_PATTERNS = ("*.wav", "*.raw")
+from rnx.audio_io import AUDIO_SUFFIXES
 
 
 def _list_audio(directory) -> list:
+    """The files in `directory` whose suffix, in any case, names an audio format, sorted."""
     d = Path(directory)
     if not d.is_dir():
         raise ValueError(f"not a directory: {directory}")
-    files = sorted(p for pattern in AUDIO_PATTERNS for p in d.glob(pattern))
+    files = sorted(p for p in d.iterdir() if p.suffix.lower() in AUDIO_SUFFIXES and p.is_file())
     if not files:
         raise ValueError(f"no audio files in {directory}")
     return files
@@ -90,10 +90,7 @@ def _cmd_eval(args) -> int:
     ordered = [reports["noisy"], reports["reference"], reports["extended"]]
     evaluate.write_report(args.report, ordered)
     for rep in ordered:
-        print(
-            f"system={rep.system} condition={rep.condition} "
-            f"seg_snr_db={rep.seg_snr_db:.6f} lsd_db={rep.lsd_db:.6f} frames={rep.frames_scored}"
-        )
+        print(evaluate.report_line(rep))
     return 0
 
 

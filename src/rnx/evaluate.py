@@ -129,15 +129,18 @@ def ab_compare(
     return reports, deltas
 
 
+def report_line(rep: MetricsReport) -> str:
+    """One report entry as the line `write_report` writes and `parse_report` reads, without newline."""
+    return (
+        f"system={rep.system} condition={rep.condition} "
+        f"seg_snr_db={rep.seg_snr_db:.6f} lsd_db={rep.lsd_db:.6f} frames={rep.frames_scored}"
+    )
+
+
 def write_report(path, reports) -> None:
     """Append-free flat report: one line per (system, condition) entry."""
     with open(path, "w") as fh:
-        for rep in reports:
-            fh.write(
-                f"system={rep.system} condition={rep.condition} "
-                f"seg_snr_db={rep.seg_snr_db:.6f} lsd_db={rep.lsd_db:.6f} "
-                f"frames={rep.frames_scored}\n"
-            )
+        fh.writelines(report_line(rep) + "\n" for rep in reports)
 
 
 _LINE = re.compile(

@@ -1,17 +1,20 @@
 """Dense/GRU network engine and model serialization.
 
-The model is six layers in a fixed wiring: an input dense layer feeds a
-small GRU whose state drives the voice-activity head; two further GRUs
-consume concatenations of earlier activations plus the raw features (skip
-connections) and the largest one drives the 22-gain head. Hidden widths
-24+24+48+96 plus output widths 22+1 give 215 units total, asserted at
-construction.
+The model is six layers in a fixed wiring: a tanh input dense layer feeds
+a small GRU whose state drives the sigmoid voice-activity head; two
+further GRUs consume concatenations of earlier activations plus the raw
+features (skip connections) and the largest one drives the sigmoid
+22-gain head. Hidden widths 24+24+48+96 plus output widths 22+1 give 215
+units total, asserted at construction. `WIRING` is the single source of
+the layers' names, kinds and activations: the model file must carry
+exactly its codes, and the forward and backward passes hard-code them.
 
-GRU convention, gate order [update z, reset r, candidate c]:
+GRU convention, gate order [update z, reset r, candidate c]; the
+candidate is always ReLU:
 
     z = sigmoid(Wz x + Uz h + bz)
     r = sigmoid(Wr x + Ur h + br)
-    c = act(Wc x + Uc (r * h) + bc)
+    c = relu(Wc x + Uc (r * h) + bc)
     h' = z * h + (1 - z) * c = c + z * (h - c)
 
 Weights live in float64 in memory and as float32 in the model file; fresh
@@ -57,10 +60,17 @@ HIDDEN_WIDTHS = (24, 24, 48, 96)
 NUM_GAINS = 22
 TOTAL_UNITS = sum(HIDDEN_WIDTHS) + NUM_GAINS + 1
 
-_KIND_CODES = {"dense": 0, "gru": 1}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-_ACT_CODES = {"tanh": 0, "relu": 1, "sigmoid": 2}
-_ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
+# The six layers in file order: (name, kind code, activation code). Kind 0
+# is dense and 1 a GRU; activation 0 is tanh, 1 ReLU (a GRU's candidate)
+# and 2 sigmoid.
+WIRING = (
+    ("dense_in", 0, 0),
+    ("vad_gru", 1, 1),
+    ("noise_gru", 1, 1),
+    ("denoise_gru", 1, 1),
+    ("vad_out", 0, 2),
+    ("gains_out", 0, 2),
+)
 
 
 class ModelFormatError(ValueError):
@@ -92,29 +102,28 @@ def flush_subnormals(a: np.ndarray, tiny) -> None:
 
 @dataclass
 class LayerParams:
+    """One layer's arrays; it is a GRU exactly when `recurrent` is set."""
+
     name: str
-    kind: str  # dense | gru
-    activation: str  # tanh | relu | sigmoid
-    in_dim: int
-    out_dim: int
     weights: np.ndarray  # dense: (out, in); gru: (3*out, in), blocks [z, r, c]
     recurrent: np.ndarray | None  # gru only: (3*out, out)
     bias: np.ndarray  # dense: (out,); gru: (3*out,)
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.activation not in _ACT_CODES:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        rows = self.out_dim if self.kind == "dense" else 3 * self.out_dim
-        if self.weights.shape != (rows, self.in_dim) or self.bias.shape != (rows,):
-            raise ModelFormatError(f"layer {self.name}: parameter shapes inconsistent with dims")
-        if self.kind == "gru" and (
-            self.recurrent is None or self.recurrent.shape != (rows, self.out_dim)
-        ):
+        if self.weights.ndim != 2 or self.bias.shape != self.weights.shape[:1]:
+            raise ModelFormatError(f"layer {self.name}: weight and bias shapes disagree")
+        rows = len(self.weights)
+        if self.recurrent is not None and (rows % 3 or self.recurrent.shape != (rows, rows // 3)):
             raise ModelFormatError(f"layer {self.name}: bad recurrent weight shape")
-        if self.kind == "dense" and self.recurrent is not None:
-            raise ModelFormatError(f"layer {self.name}: dense layer with recurrent weights")
+
+    @property
+    def in_dim(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def out_dim(self) -> int:
+        rows = self.weights.shape[0]
+        return rows if self.recurrent is None else rows // 3
 
 
 @dataclass
@@ -142,7 +151,7 @@ class NetworkModel:
         return 4
 
     def layers(self):
-        return [self.dense_in, self.vad_gru, self.noise_gru, self.denoise_gru, self.vad_out, self.gains_out]
+        return [getattr(self, name) for name, _, _ in WIRING]
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays keyed by '<layer>.<tensor>'."""
@@ -155,6 +164,9 @@ class NetworkModel:
         return out
 
     def validate_wiring(self):
+        for layer, (_, kind, _) in zip(self.layers(), WIRING):
+            if (layer.recurrent is not None) != (kind == 1):
+                raise ModelFormatError(f"layer {layer.name}: recurrent weights do not match its slot's kind")
         d, vg, ng, dg = self.dense_in, self.vad_gru, self.noise_gru, self.denoise_gru
         f = self.feature_dim
         checks = [
@@ -207,15 +219,11 @@ def gru_input(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def dense_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
-    return activate(layer.activation, gru_input(layer, x))
-
-
-def _gru_step(activation, gates_x, h, u_zr, u_c, zr, c, h_out, tiny) -> None:
+def _gru_step(gates_x, h, u_zr, u_c, zr, c, h_out, tiny) -> None:
     """One step from input gates and state h into zr, c, h_out; u_zr, u_c are U[:2u].T, U[2u:].T."""
     u = h.shape[-1]
     activate("sigmoid", np.add(gates_x[..., : 2 * u], h @ u_zr, out=zr))
-    activate(activation, np.add(gates_x[..., 2 * u :], (zr[..., u:] * h) @ u_c, out=c))
+    activate("relu", np.add(gates_x[..., 2 * u :], (zr[..., u:] * h) @ u_c, out=c))
     np.subtract(h, c, out=h_out)
     h_out *= zr[..., :u]
     h_out += c
@@ -240,7 +248,7 @@ def gru_scan(layer: LayerParams, gates_x: np.ndarray, h0: np.ndarray):
     c = np.empty((t, *lead, u), dtype)
     tiny = _TINY[dtype]
     for i in range(t):
-        _gru_step(layer.activation, gates_x[i], h[i], u_zr, u_c, zr[i], c[i], h[i + 1], tiny)
+        _gru_step(gates_x[i], h[i], u_zr, u_c, zr[i], c[i], h[i + 1], tiny)
     return h, zr, c
 
 
@@ -280,7 +288,7 @@ def forward(model: NetworkModel, x: np.ndarray, state: HiddenState) -> Activatio
     nor the state is mutated.
     """
     with np.errstate(over="ignore"):
-        dense = dense_forward(model.dense_in, x)
+        dense = activate("tanh", gru_input(model.dense_in, x))
         vad_gru = _gru_forward(model.vad_gru, dense, state.h_vad)
         noise_gru = _gru_forward(
             model.noise_gru, np.concatenate((dense, vad_gru.out, x), axis=-1), state.h_noise
@@ -288,8 +296,8 @@ def forward(model: NetworkModel, x: np.ndarray, state: HiddenState) -> Activatio
         denoise_gru = _gru_forward(
             model.denoise_gru, np.concatenate((vad_gru.out, noise_gru.out, x), axis=-1), state.h_denoise
         )
-        mask = dense_forward(model.gains_out, denoise_gru.out)
-        vad = dense_forward(model.vad_out, vad_gru.out)[..., 0]
+        mask = activate("sigmoid", gru_input(model.gains_out, denoise_gru.out))
+        vad = activate("sigmoid", gru_input(model.vad_out, vad_gru.out))[..., 0]
     return Activations(x, dense, vad_gru, noise_gru, denoise_gru, mask, vad)
 
 
@@ -326,26 +334,22 @@ def build_model(feature_dim: int, widths=HIDDEN_WIDTHS, seed=0) -> NetworkModel:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     w_dense, w_vad, w_noise, w_denoise = widths
 
-    def dense(name, activation, in_dim, out_dim):
-        return LayerParams(
-            name, "dense", activation, in_dim, out_dim,
-            _glorot(rng, out_dim, in_dim, in_dim, out_dim),
-            None, np.zeros(out_dim),
-        )
+    def dense(name, in_dim, out_dim):
+        return LayerParams(name, _glorot(rng, out_dim, in_dim, in_dim, out_dim), None, np.zeros(out_dim))
 
     def gru(name, in_dim, out_dim):
         w = np.vstack([_glorot(rng, out_dim, in_dim, in_dim, out_dim) for _ in range(3)])
         u = np.vstack([_glorot(rng, out_dim, out_dim, out_dim, out_dim) for _ in range(3)])
-        return LayerParams(name, "gru", "relu", in_dim, out_dim, w, u, np.zeros(3 * out_dim))
+        return LayerParams(name, w, u, np.zeros(3 * out_dim))
 
     model = NetworkModel(
         feature_dim=feature_dim,
-        dense_in=dense("dense_in", "tanh", feature_dim, w_dense),
+        dense_in=dense("dense_in", feature_dim, w_dense),
         vad_gru=gru("vad_gru", w_dense, w_vad),
         noise_gru=gru("noise_gru", w_dense + w_vad + feature_dim, w_noise),
         denoise_gru=gru("denoise_gru", w_vad + w_noise + feature_dim, w_denoise),
-        vad_out=dense("vad_out", "sigmoid", w_vad, 1),
-        gains_out=dense("gains_out", "sigmoid", w_denoise, NUM_GAINS),
+        vad_out=dense("vad_out", w_vad, 1),
+        gains_out=dense("gains_out", w_denoise, NUM_GAINS),
     )
     if feature_dim == EXTENDED_DIM:
         # neutral standardization until training freezes real statistics
@@ -371,16 +375,11 @@ def save_model(model: NetworkModel, path) -> None:
     blob = [struct.pack("<4sIII", MAGIC, FORMAT_VERSION, model.feature_dim, flags)]
     blob.append(np.asarray(means, dtype="<f4").tobytes())
     blob.append(np.asarray(stds, dtype="<f4").tobytes())
-    blob.append(struct.pack("<I", 6))
-    for layer in model.layers():
+    blob.append(struct.pack("<I", len(WIRING)))
+    for layer, (_, kind, act) in zip(model.layers(), WIRING):
         name = layer.name.encode()
         blob.append(
-            struct.pack(
-                "<B%dsBBII" % len(name),
-                len(name), name,
-                _KIND_CODES[layer.kind], _ACT_CODES[layer.activation],
-                layer.in_dim, layer.out_dim,
-            )
+            struct.pack("<B%dsBBII" % len(name), len(name), name, kind, act, layer.in_dim, layer.out_dim)
         )
         blob.append(np.ascontiguousarray(layer.weights, dtype="<f4"))
         if layer.recurrent is not None:
@@ -425,30 +424,24 @@ def load_model(path) -> NetworkModel:
     means = r.array((3,))
     stds = r.array((3,))
     (layer_count,) = r.unpack("<I")
-    if layer_count != 6:
-        raise ModelFormatError(f"expected 6 layers, file declares {layer_count}")
+    if layer_count != len(WIRING):
+        raise ModelFormatError(f"expected {len(WIRING)} layers, file declares {layer_count}")
     layers = []
-    for _ in range(layer_count):
+    for slot in WIRING:
         (name_len,) = r.unpack("<B")
         try:
             name = bytes(r.take(name_len)).decode()
         except UnicodeDecodeError:
             raise ModelFormatError("layer name is not valid UTF-8") from None
-        kind_code, act_code, in_dim, out_dim = r.unpack("<BBII")
-        if kind_code not in _KIND_NAMES or act_code not in _ACT_NAMES:
-            raise ModelFormatError(f"layer {name}: unknown kind/activation code")
-        kind = _KIND_NAMES[kind_code]
-        rows = out_dim if kind == "dense" else 3 * out_dim
+        kind, act, in_dim, out_dim = r.unpack("<BBII")
+        if (name, kind, act) != slot:
+            raise ModelFormatError(f"layer {name!r}, kind {kind}, activation {act} is not the wiring's {slot}")
+        rows = 3 * out_dim if kind else out_dim
         weights = r.array((rows, in_dim))
-        recurrent = r.array((rows, out_dim)) if kind == "gru" else None
-        bias = r.array((rows,))
-        layers.append(LayerParams(name, kind, _ACT_NAMES[act_code], in_dim, out_dim, weights, recurrent, bias))
+        recurrent = r.array((rows, out_dim)) if kind else None
+        layers.append(LayerParams(name, weights, recurrent, r.array((rows,))))
     if r.pos != len(r.data):
         raise ModelFormatError("trailing bytes after last layer")
-    expected = ["dense_in", "vad_gru", "noise_gru", "denoise_gru", "vad_out", "gains_out"]
-    got = [l.name for l in layers]
-    if got != expected:
-        raise ModelFormatError(f"unexpected layer order {got}")
     extended = bool(flags & 1)
     if extended != (feature_dim == EXTENDED_DIM):
         raise ModelFormatError("extended flag does not match feature_dim")

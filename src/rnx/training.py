@@ -143,7 +143,6 @@ def _gru_gate_deltas(layer, cache: neural.GruActivations, delta_out: np.ndarray)
     u_zr = layer.recurrent[: 2 * u]
     gates = np.empty((t, b, 3 * u), dtype=delta_out.dtype)
     carry = np.zeros((b, u), dtype=delta_out.dtype)
-    relu = layer.activation == "relu"
     tiny = np.finfo(delta_out.dtype).tiny
     for i in range(t - 1, -1, -1):
         delta = delta_out[i] + carry
@@ -152,10 +151,7 @@ def _gru_gate_deltas(layer, cache: neural.GruActivations, delta_out: np.ndarray)
         r = cache.zr[i, :, u:]
         d_zr = g[:, : 2 * u]
         one_minus_z = 1.0 - z
-        if relu:
-            np.multiply(delta * one_minus_z, c > 0, out=g[:, 2 * u :])
-        else:
-            np.multiply(delta * one_minus_z, 1.0 - c * c, out=g[:, 2 * u :])
+        np.multiply(delta * one_minus_z, c > 0, out=g[:, 2 * u :])  # the ReLU candidate's derivative
         ds = g[:, 2 * u :] @ u_c
         np.multiply(delta * (h_prev - c) * z, one_minus_z, out=d_zr[:, :u])
         np.multiply(ds * h_prev * r, 1.0 - r, out=d_zr[:, u:])
@@ -326,8 +322,11 @@ def gradient_check(
     Uses reduced-width models with the standard wiring so the whole
     parameter set can be swept. A coordinate passes when the difference is
     within GRADCHECK_ABS_TOL or within GRADCHECK_REL_TOL of the larger
-    magnitude.
+    magnitude. Fewer than one instance raises ValueError: a check of
+    nothing must not pass.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
     checked = failures = 0
     max_rel = max_abs = 0.0

@@ -54,6 +54,23 @@ def test_mix_frame_cap_and_threads(tmp_path, capsys):
     assert len(load_feature_file(out)) == 25
 
 
+def test_mix_lists_every_suffix_load_audio_reads_in_any_case(tmp_path, capsys):
+    clean_dir, noise_dir = make_corpus(tmp_path)
+    (clean_dir / "c0.wav").rename(clean_dir / "c0.WAV")
+    noise = load_audio(noise_dir / "n0.wav")
+    (noise_dir / "n0.wav").unlink()
+    store_audio(noise, noise_dir / "n0.pcm", format="raw")
+    (noise_dir / "notes.txt").write_text("not audio")
+    out = tmp_path / "suffixes.rnxf"
+    code = main([
+        "mix", "--clean", str(clean_dir), "--noise", str(noise_dir),
+        "--out", str(out), "--mode", "reference", "--seed", "4",
+    ])
+    assert code == 0, capsys.readouterr().err
+    # both clean files and the noise track are mixed: the same frames as the all-WAV corpus
+    assert "wrote 98 frames" in capsys.readouterr().out
+
+
 def test_mix_bad_directory_fails_cleanly(tmp_path, capsys):
     code = main([
         "mix", "--clean", str(tmp_path / "nope"), "--noise", str(tmp_path / "nope"),
@@ -209,8 +226,7 @@ def test_eval_writes_report(tmp_path, capsys):
     )
     for line in out_lines:
         assert pat.match(line), line
-    assert report.exists()
-    assert len(report.read_text().splitlines()) == 3
+    assert report.read_text().splitlines() == out_lines
 
 
 @pytest.mark.parametrize("condition", ["street snr5", "", "snr5\t"])
@@ -254,6 +270,15 @@ def test_gradcheck_command(capsys):
         r"max_rel_err=\d\.\d{3}e[+-]\d+ max_abs_err=\d\.\d{3}e[+-]\d+$",
         out.strip(),
     )
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_gradcheck_of_no_instances_fails(capsys, instances):
+    code = main(["gradcheck", "--instances", instances])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "checked=" not in captured.out
 
 
 def test_unknown_arguments_exit_two():

@@ -6,6 +6,7 @@ random spot check on top.
 """
 
 import numpy as np
+import pytest
 
 from rnx.features import REFERENCE_DIM
 from rnx.neural import init_weights
@@ -28,6 +29,13 @@ def test_sweep_covers_reference_dim_too():
     res = gradient_check(seed=1, instances=1, feature_dim=REFERENCE_DIM)
     assert res.passed
     assert res.checked == 1 * (2364 - 3 * (4 + 15 + 18))
+
+
+@pytest.mark.parametrize("instances", [0, -3])
+def test_sweep_of_no_instances_is_rejected(instances):
+    # a check of nothing would report failures=0, a pass
+    with pytest.raises(ValueError, match="instances"):
+        gradient_check(seed=0, instances=instances)
 
 
 def test_full_size_model_spot_check():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from rnx.neural import (
     LayerParams,
     ModelFormatError,
     NetworkModel,
+    activate,
     build_model,
-    dense_forward,
     gru_input,
     gru_scan,
     init_weights,
@@ -26,28 +27,29 @@ def sigmoid(v):
     return 1.0 / (1.0 + math.exp(-v))
 
 
-def make_dense(name, activation, w, b):
-    w = np.asarray(w, dtype=np.float64)
-    return LayerParams(name, "dense", activation, w.shape[1], w.shape[0], w, None, np.asarray(b, dtype=np.float64))
+def make_dense(name, w, b):
+    return LayerParams(name, np.asarray(w, dtype=np.float64), None, np.asarray(b, dtype=np.float64))
 
 
-def make_gru(name, w, u, b, activation="relu"):
-    w = np.asarray(w, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    out = w.shape[0] // 3
-    return LayerParams(name, "gru", activation, w.shape[1], out, w, u, np.asarray(b, dtype=np.float64))
+def make_gru(name, w, u, b):
+    return LayerParams(
+        name, np.asarray(w, dtype=np.float64), np.asarray(u, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    )
+
+
+def dense_forward(activation, layer, x):
+    """A dense layer as `forward` runs one: the named activation of W x + b."""
+    return activate(activation, gru_input(layer, x))
 
 
 def test_dense_zero_input_yields_activated_bias():
     b = np.array([0.3, -1.2])
-    lay = make_dense("d", "sigmoid", np.ones((2, 3)), b)
-    got = dense_forward(lay, np.zeros(3))
+    lay = make_dense("d", np.ones((2, 3)), b)
+    got = dense_forward("sigmoid", lay, np.zeros(3))
     want = [sigmoid(0.3), sigmoid(-1.2)]
     np.testing.assert_allclose(got, want, atol=1e-15)
-    lay = make_dense("d", "tanh", np.ones((2, 3)), b)
-    np.testing.assert_allclose(dense_forward(lay, np.zeros(3)), np.tanh(b), atol=1e-15)
-    lay = make_dense("d", "relu", np.ones((2, 3)), b)
-    np.testing.assert_allclose(dense_forward(lay, np.zeros(3)), [0.3, 0.0], atol=0)
+    np.testing.assert_allclose(dense_forward("tanh", lay, np.zeros(3)), np.tanh(b), atol=1e-15)
+    np.testing.assert_allclose(dense_forward("relu", lay, np.zeros(3)), [0.3, 0.0], atol=0)
 
 
 def test_dense_matvec_oracle():
@@ -55,15 +57,15 @@ def test_dense_matvec_oracle():
     w = rng.normal(size=(4, 6))
     b = rng.normal(size=4)
     x = rng.normal(size=6)
-    lay = make_dense("d", "tanh", w, b)
+    lay = make_dense("d", w, b)
     want = [math.tanh(math.fsum([w[i, j] * x[j] for j in range(6)] + [b[i]])) for i in range(4)]
-    np.testing.assert_allclose(dense_forward(lay, x), want, atol=1e-12)
+    np.testing.assert_allclose(dense_forward("tanh", lay, x), want, atol=1e-12)
 
 
 def test_dense_width_mismatch():
-    lay = make_dense("d", "tanh", np.ones((2, 3)), np.zeros(2))
+    lay = make_dense("d", np.ones((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
-        dense_forward(lay, np.zeros(4))
+        dense_forward("tanh", lay, np.zeros(4))
 
 
 def gru_step(layer, x, h):
@@ -121,38 +123,32 @@ def test_gru_batched_matches_single():
         np.testing.assert_allclose(batch[i], gru_step(lay, xs[i], hs[i]), atol=1e-14)
 
 
-def test_gru_tanh_candidate_variant():
-    lay = make_gru("g", np.zeros((3, 1)), np.zeros((3, 1)), np.array([0.0, 0.0, 2.0]), activation="tanh")
-    got = gru_step(lay, np.zeros(1), np.zeros(1))
-    assert abs(got[0] - 0.5 * math.tanh(2.0)) < 1e-12
-
-
 def oracle_forward(model, features, state):
-    """Re-derive the wiring with raw numpy, no library forward helpers."""
+    """Re-derive the wiring with raw numpy, no library forward helpers.
 
-    def act(name, v):
-        if name == "tanh":
-            return np.tanh(v)
-        if name == "relu":
-            return np.maximum(v, 0.0)
+    The activations are the RNNoise ones, written out: a tanh input layer,
+    GRUs with sigmoid gates and a ReLU candidate, and sigmoid heads.
+    """
+
+    def sigmoid(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    def dense(l, x):
-        return act(l.activation, l.weights @ x + l.bias)
+    def affine(l, x):
+        return l.weights @ x + l.bias
 
     def gru(l, x, h):
         u = l.out_dim
-        z = act("sigmoid", l.weights[:u] @ x + l.recurrent[:u] @ h + l.bias[:u])
-        r = act("sigmoid", l.weights[u : 2 * u] @ x + l.recurrent[u : 2 * u] @ h + l.bias[u : 2 * u])
-        c = act(l.activation, l.weights[2 * u :] @ x + l.recurrent[2 * u :] @ (r * h) + l.bias[2 * u :])
+        z = sigmoid(l.weights[:u] @ x + l.recurrent[:u] @ h + l.bias[:u])
+        r = sigmoid(l.weights[u : 2 * u] @ x + l.recurrent[u : 2 * u] @ h + l.bias[u : 2 * u])
+        c = np.maximum(l.weights[2 * u :] @ x + l.recurrent[2 * u :] @ (r * h) + l.bias[2 * u :], 0.0)
         return z * h + (1.0 - z) * c
 
-    d = dense(model.dense_in, features)
+    d = np.tanh(affine(model.dense_in, features))
     h1 = gru(model.vad_gru, d, state.h_vad)
-    vad = dense(model.vad_out, h1)[0]
+    vad = sigmoid(affine(model.vad_out, h1))[0]
     h2 = gru(model.noise_gru, np.concatenate((d, h1, features)), state.h_noise)
     h3 = gru(model.denoise_gru, np.concatenate((h1, h2, features)), state.h_denoise)
-    return dense(model.gains_out, h3), vad, (h1, h2, h3)
+    return sigmoid(affine(model.gains_out, h3)), vad, (h1, h2, h3)
 
 
 def test_forward_zero_features_fresh_state():
@@ -253,18 +249,24 @@ def test_init_determinism_and_bounds():
         np.testing.assert_array_equal(lay.weights, lay.weights.astype(np.float32).astype(np.float64))
 
 
+# the first 16 hex digits of the sha256 of save_model(init_weights(3, dim))'s bytes
+INIT_3_FILE_SHA256 = {REFERENCE_DIM: "614487e710f22cbf", EXTENDED_DIM: "74d8f64565bdc23d"}
+
+
 def test_save_load_roundtrip_bitwise(tmp_path):
     for dim in (REFERENCE_DIM, EXTENDED_DIM):
         model = init_weights(3, dim)
         path = tmp_path / f"m{dim}.rnxm"
         save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == INIT_3_FILE_SHA256[dim]
         back = load_model(path)
         assert back.feature_dim == dim
         assert back.extended == model.extended
         for k, v in model.parameters().items():
             np.testing.assert_array_equal(back.parameters()[k], v)
         for la, lb in zip(model.layers(), back.layers()):
-            assert (la.name, la.kind, la.activation) == (lb.name, lb.kind, lb.activation)
+            assert (la.name, la.in_dim, la.out_dim) == (lb.name, lb.in_dim, lb.out_dim)
+            assert (la.recurrent is None) == (lb.recurrent is None)
         if dim == EXTENDED_DIM:
             np.testing.assert_array_equal(back.stats.mean, model.stats.mean)
             np.testing.assert_array_equal(back.stats.std, model.stats.std)
@@ -342,14 +344,18 @@ def test_load_rejects_nonfinite_parameters(tmp_path):
 
 
 def test_layer_params_validation():
+    dense = LayerParams("x", np.zeros((2, 3)), None, np.zeros(2))
+    assert (dense.in_dim, dense.out_dim) == (3, 2)
+    gru = LayerParams("x", np.zeros((6, 3)), np.zeros((6, 2)), np.zeros(6))
+    assert (gru.in_dim, gru.out_dim) == (3, 2)
     with pytest.raises(ModelFormatError):
-        LayerParams("x", "dense", "tanh", 3, 2, np.zeros((2, 4)), None, np.zeros(2))
+        LayerParams("x", np.zeros((2, 4)), None, np.zeros(3))
     with pytest.raises(ModelFormatError):
-        LayerParams("x", "gru", "relu", 3, 2, np.zeros((6, 3)), None, np.zeros(6))
+        LayerParams("x", np.zeros(6), None, np.zeros(6))
     with pytest.raises(ModelFormatError):
-        LayerParams("x", "gru", "relu", 3, 2, np.zeros((6, 3)), np.zeros((6, 3)), np.zeros(6))
-    with pytest.raises(ValueError):
-        LayerParams("x", "conv", "tanh", 3, 2, np.zeros((2, 3)), None, np.zeros(2))
+        LayerParams("x", np.zeros((6, 3)), np.zeros((6, 3)), np.zeros(6))
+    with pytest.raises(ModelFormatError):
+        LayerParams("x", np.zeros((5, 3)), np.zeros((5, 1)), np.zeros(5))
 
 
 def test_wiring_validation_catches_bad_dims():
@@ -365,6 +371,59 @@ def test_wiring_validation_catches_bad_dims():
     )
     with pytest.raises(ModelFormatError):
         broken.validate_wiring()
+
+
+def test_wiring_validation_rejects_a_layer_of_the_wrong_kind():
+    """A dense layer in a GRU slot, or a GRU in a dense slot, with the slot's dims, is rejected."""
+    model = init_weights(0, REFERENCE_DIM)
+    model.validate_wiring()
+    swaps = {
+        "vad_gru": LayerParams("vad_gru", np.zeros((24, 24)), None, np.zeros(24)),
+        "vad_out": LayerParams("vad_out", np.zeros((3, 24)), np.zeros((3, 1)), np.zeros(3)),
+    }
+    for name, layer in swaps.items():
+        broken = init_weights(0, REFERENCE_DIM)
+        setattr(broken, name, layer)
+        with pytest.raises(ModelFormatError, match=name):
+            broken.validate_wiring()
+
+
+def _code_offset(model, layer_name, field):
+    """The byte offset, in save_model's file of `model`, of a layer's "kind" or "activation" code."""
+    pos = 16 + 4 * 6 + 4  # header, feature stats, layer count
+    for layer in model.layers():
+        name = layer.name.encode()
+        if layer.name == layer_name:
+            return pos + 1 + len(name) + ("kind", "activation").index(field)
+        params = layer.weights.size + layer.bias.size + (0 if layer.recurrent is None else layer.recurrent.size)
+        pos += 1 + len(name) + 2 + 8 + 4 * params
+    raise KeyError(layer_name)
+
+
+# kind codes: 0 dense, 1 GRU; activation codes: 0 tanh, 1 relu, 2 sigmoid
+@pytest.mark.parametrize(
+    "layer_name, field, code",
+    [
+        ("gains_out", "activation", 0),
+        ("vad_gru", "activation", 2),
+        ("dense_in", "activation", 1),
+        ("vad_out", "activation", 1),
+        ("vad_gru", "kind", 0),
+        ("gains_out", "kind", 1),
+        ("noise_gru", "kind", 7),
+    ],
+)
+def test_load_rejects_a_code_the_wiring_does_not_have(tmp_path, layer_name, field, code):
+    model = init_weights(7, REFERENCE_DIM)
+    path = tmp_path / "w.rnxm"
+    save_model(model, path)
+    data = bytearray(path.read_bytes())
+    at = _code_offset(model, layer_name, field)
+    assert data[at] != code
+    data[at] = code
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFormatError, match=layer_name):
+        load_model(path)
 
 
 def test_hidden_state_zeros_shapes():

@@ -28,6 +28,8 @@ Whole buffers, on the first 4 s of stream.npy (all of it when shorter):
                           (T, 3), band_energies (T, 22) and band_corr
                           (T, 22), concatenated in that order
   clean_energies          that call's clean_energies (T, 22)
+Model file:
+  model_rnxm              the bytes save_model writes for init_weights(7, 45)
 Offline, as in perfbench's offline workload:
   mix_rnxf                the bytes of the .rnxf file that build_dataset
                           writes over clean/*.wav and noise/*.wav
@@ -133,9 +135,11 @@ def offline_hashes(rnx, inputs: Path, work: Path) -> dict:
     pipeline, neural, dataset = rnx["pipeline"], rnx["neural"], rnx["dataset"]
     clean = sorted((inputs / "clean").glob("*.wav"))
     noise = sorted((inputs / "noise").glob("*.wav"))
+    rnxm = work / "model.rnxm"
+    neural.save_model(neural.init_weights(7, 45), rnxm)
     rnxf = work / "mix.rnxf"
     dataset.build_dataset(clean, noise, dataset.MixConfig(seed=11), "extended", rnxf, threads=1)
-    out = {"mix_rnxf": digest(rnxf.read_bytes())}
+    out = {"model_rnxm": digest(rnxm.read_bytes()), "mix_rnxf": digest(rnxf.read_bytes())}
     model = neural.init_weights(7, 42)
     for path in sorted((inputs / "heldout").glob("*.wav")):
         target = work / path.name
