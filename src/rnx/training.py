@@ -18,9 +18,12 @@ and need no transpose back.
 
 The forward pass is `neural.forward`, the engine the denoiser runs, over
 the (T, B, F) batch: its batched products, its logistic and its flush of
-subnormal states (see `neural`), and every activation the backward pass
-reads. The backward pass flushes its carry and its z/r gate deltas the
-same way.
+subnormal states (see `neural`), and every layer's activations by name.
+The backward pass walks `neural.WIRING` in reverse from the two heads'
+loss gradients: each layer turns its output delta into parameter
+gradients and, by one product over its upstream input columns, into
+deltas for its sources, which a source sums in table-reverse order. It
+flushes its carry and its z/r gate deltas as the forward pass does.
 """
 
 from __future__ import annotations
@@ -117,16 +120,22 @@ def _bce_terms(target, pred):
 # forward / backward engine
 
 
-def _forward(model: neural.NetworkModel, feats: np.ndarray) -> neural.Activations:
+def _forward(model: neural.NetworkModel, feats: np.ndarray) -> dict[str, neural.LayerActivations]:
     """The engine over batch-major feats (B, T, F) from zero states; its activations are time-major."""
     x = np.ascontiguousarray(feats.transpose(1, 0, 2))
     return neural.forward(model, x, neural.HiddenState.zeros(model))
 
 
-def _time_major_loss_terms(fw: neural.Activations, gains, vads, gamma, vad_weight):
+def _time_major_loss_terms(fw, gains, vads, gamma, vad_weight):
     """Per-frame band loss, BCE, and their gradients, against (B, T, ...) targets."""
-    band, d_mask = _mask_loss_terms(gains.transpose(1, 0, 2), fw.mask, gamma)
-    bce, d_vad = _bce_terms(vads.T, fw.vad)
+    t, b = fw["vad_out"].out.shape[:2]
+    if gains.shape != (b, t, neural.NUM_GAINS) or vads.shape != (b, t):
+        raise ValueError(
+            f"targets: gains {gains.shape} and vads {vads.shape} are not "
+            f"({b}, {t}, {neural.NUM_GAINS}) and ({b}, {t}) for the (B, T, F) features"
+        )
+    band, d_mask = _mask_loss_terms(gains.transpose(1, 0, 2), fw["gains_out"].out, gamma)
+    bce, d_vad = _bce_terms(vads.T, fw["vad_out"].out[..., 0])
     return band + vad_weight * bce, d_mask, d_vad
 
 
@@ -136,7 +145,7 @@ def sequence_loss(model, feats, gains, vads, gamma=0.5, vad_weight=0.5) -> float
     return float(np.mean(total))
 
 
-def _gru_gate_deltas(layer, cache: neural.GruActivations, delta_out: np.ndarray) -> np.ndarray:
+def _gru_gate_deltas(layer, cache: neural.LayerActivations, delta_out: np.ndarray) -> np.ndarray:
     """Backprop one GRU's recurrence; returns the (T, B, 3*out) gate pre-activation deltas."""
     t, b, u = delta_out.shape
     u_c = layer.recurrent[2 * u :]
@@ -161,22 +170,24 @@ def _gru_gate_deltas(layer, cache: neural.GruActivations, delta_out: np.ndarray)
     return gates
 
 
-def _gru_backward(layer, cache: neural.GruActivations, delta_out: np.ndarray, n_in: int):
-    """Backprop one GRU over its scan; returns (dW, dU, db, dX), dX time-major.
-
-    dX covers only the first n_in input columns: the ones fed by upstream
-    layers. The raw feature columns have no gradient to carry.
-    """
+def _gru_backward(layer, cache: neural.LayerActivations, delta_out: np.ndarray):
+    """Backprop one GRU over its scan; returns (gate deltas (T, B, 3*out), dU)."""
     t, b, u = delta_out.shape
-    gates = _gru_gate_deltas(layer, cache, delta_out).reshape(t * b, 3 * u)
+    gates = _gru_gate_deltas(layer, cache, delta_out)
+    flat = gates.reshape(t * b, 3 * u)
     h_prev = cache.h[:t].reshape(t * b, u)
     s = (cache.zr[..., u:] * cache.h[:t]).reshape(t * b, u)
     d_u = np.empty_like(layer.recurrent)
-    d_u[: 2 * u] = gates[:, : 2 * u].T @ h_prev
-    d_u[2 * u :] = gates[:, 2 * u :].T @ s
-    d_w = gates.T @ cache.x.reshape(t * b, -1)
-    d_x = (gates @ layer.weights[:, :n_in]).reshape(t, b, n_in)
-    return d_w, d_u, gates.sum(axis=0), d_x
+    d_u[: 2 * u] = flat[:, : 2 * u].T @ h_prev
+    d_u[2 * u :] = flat[:, 2 * u :].T @ s
+    return gates, d_u
+
+
+def _dense_delta(act: str, d_out: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A dense layer's pre-activation delta from its output delta and output (tanh or sigmoid)."""
+    if act == "tanh":
+        return d_out * (1.0 - out * out)
+    return d_out * out * (1.0 - out)
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
@@ -213,44 +224,30 @@ def backward_tbptt(
     total, d_mask, d_vad = _time_major_loss_terms(fw, gains, vads, gamma, vad_weight)
     mean_loss = float(np.mean(total))
     scale = 1.0 / (b * t)
-    d_mask = d_mask * scale
-    d_vad = d_vad * (vad_weight * scale)
-
-    n1 = model.dense_in.out_dim
-    n2 = model.vad_gru.out_dim
-    n3 = model.noise_gru.out_dim
-
+    # output deltas by layer, seeded by the heads' loss gradients; each
+    # layer's consumers come later in the table, so walking it in reverse
+    # completes a layer's delta before the layer is reached
+    deltas = {"gains_out": d_mask * scale, "vad_out": (d_vad * (vad_weight * scale))[..., None]}
     grads: dict[str, np.ndarray] = {}
-
-    da_g = d_mask * fw.mask * (1.0 - fw.mask)
-    h3_flat = fw.denoise_gru.out.reshape(t * b, -1)
-    grads["gains_out.W"] = da_g.reshape(t * b, -1).T @ h3_flat
-    grads["gains_out.b"] = da_g.sum(axis=(0, 1))
-    d_h3 = neural.rows_times(da_g, model.gains_out.weights)
-
-    da_v = (d_vad * fw.vad * (1.0 - fw.vad))[..., None]
-    h1_flat = fw.vad_gru.out.reshape(t * b, -1)
-    grads["vad_out.W"] = da_v.reshape(t * b, 1).T @ h1_flat
-    grads["vad_out.b"] = da_v.sum(axis=(0, 1))
-    d_h1 = neural.rows_times(da_v, model.vad_out.weights)
-
-    d_w, d_u, d_b, d_x3 = _gru_backward(model.denoise_gru, fw.denoise_gru, d_h3, n2 + n3)
-    grads["denoise_gru.W"], grads["denoise_gru.U"], grads["denoise_gru.b"] = d_w, d_u, d_b
-    d_h1 = d_h1 + d_x3[..., :n2]
-    d_h2 = d_x3[..., n2:]
-
-    d_w, d_u, d_b, d_x2 = _gru_backward(model.noise_gru, fw.noise_gru, d_h2, n1 + n2)
-    grads["noise_gru.W"], grads["noise_gru.U"], grads["noise_gru.b"] = d_w, d_u, d_b
-    d_dense = d_x2[..., :n1]
-    d_h1 = d_h1 + d_x2[..., n1:]
-
-    d_w, d_u, d_b, d_x1 = _gru_backward(model.vad_gru, fw.vad_gru, d_h1, n1)
-    grads["vad_gru.W"], grads["vad_gru.U"], grads["vad_gru.b"] = d_w, d_u, d_b
-    d_dense = d_dense + d_x1
-
-    da_d = d_dense * (1.0 - fw.dense * fw.dense)
-    grads["dense_in.W"] = da_d.reshape(t * b, -1).T @ fw.feats.reshape(t * b, -1)
-    grads["dense_in.b"] = da_d.sum(axis=(0, 1))
+    for name, kind, act, sources in reversed(neural.WIRING):
+        layer, cache = getattr(model, name), fw[name]
+        if kind:
+            da, grad_u = _gru_backward(layer, cache, deltas.pop(name))
+        else:
+            da = _dense_delta(neural.ACTIVATIONS[act], deltas.pop(name), cache.out)
+        flat = da.reshape(t * b, -1)
+        grads[f"{name}.W"] = flat.T @ cache.x.reshape(t * b, -1)
+        if kind:
+            grads[f"{name}.U"] = grad_u
+        grads[f"{name}.b"] = flat.sum(axis=0)
+        # one product over the upstream columns (the raw features carry no
+        # gradient), then split by source: a product per source rounds differently
+        upstream = [source for source in sources if source != "features"]
+        if upstream:
+            widths = [fw[source].out.shape[-1] for source in upstream]
+            d_x = neural.rows_times(da, layer.weights[:, : sum(widths)])
+            for source, part in zip(upstream, np.split(d_x, np.cumsum(widths)[:-1], axis=-1)):
+                deltas[source] = deltas[source] + part if source in deltas else part
 
     if not np.isfinite(mean_loss):
         raise RuntimeError("non-finite training loss; aborting step")

@@ -18,7 +18,7 @@ from rnx.cli import main
 from rnx.dataset import MixConfig, build_dataset, load_feature_file
 from rnx.evaluate import log_spectral_distance, parse_report, segmental_snr
 from rnx.features import log_band_energies, pitch_dct_features, spectral_shape
-from rnx.neural import init_weights, load_model
+from rnx.neural import WIRING, init_weights, load_model
 from rnx.pipeline import denoise_buffer
 from rnx.training import TrainConfig, _mask_loss_terms, gradient_check, train
 from test_pipeline import LONG_STREAMS, STREAM_LEN, assert_long_stream_bounded
@@ -204,7 +204,9 @@ def test_c07_topology_audit():
     for dim in (42, 45):
         model = init_weights(0, dim)
         assert model.total_units == 215
-        assert model.hidden_layer_count == 4
+        consumed = {source for _, _, _, sources in WIRING for source in sources}
+        assert sorted(kind for name, kind, _, _ in WIRING if name in consumed) == [0, 1, 1, 1]
+        assert [kind for name, kind, _, _ in WIRING if name not in consumed] == [0, 0]
         assert len(model.layers()) == 6
         assert model.dense_in.in_dim == dim
     print("ACCEPTANCE 7: PASS - 215 units, 4 hidden + 2 output layers, input width 42/45")

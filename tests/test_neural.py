@@ -8,6 +8,7 @@ from rnx.features import EXTENDED_DIM, REFERENCE_DIM, FeatureStats
 from rnx.neural import (
     HIDDEN_WIDTHS,
     TOTAL_UNITS,
+    WIRING,
     HiddenState,
     LayerParams,
     ModelFormatError,
@@ -213,7 +214,10 @@ def test_standard_topology():
     for dim in (REFERENCE_DIM, EXTENDED_DIM):
         model = init_weights(1, dim)
         assert model.total_units == TOTAL_UNITS == 215
-        assert model.hidden_layer_count == 4
+        # 1 dense and 3 GRU layers feed others; the 2 dense heads feed nothing
+        consumed = {source for _, _, _, sources in WIRING for source in sources}
+        assert sorted(kind for name, kind, _, _ in WIRING if name in consumed) == [0, 1, 1, 1]
+        assert [kind for name, kind, _, _ in WIRING if name not in consumed] == [0, 0]
         assert model.dense_in.in_dim == dim and model.dense_in.out_dim == 24
         assert model.vad_gru.in_dim == 24 and model.vad_gru.out_dim == 24
         assert model.noise_gru.in_dim == 48 + dim and model.noise_gru.out_dim == 48
@@ -386,6 +390,38 @@ def test_wiring_validation_rejects_a_layer_of_the_wrong_kind():
         setattr(broken, name, layer)
         with pytest.raises(ModelFormatError, match=name):
             broken.validate_wiring()
+
+
+@pytest.mark.parametrize(
+    "slot, head_width",
+    [
+        ("dense_in", None),
+        ("vad_gru", None),
+        ("noise_gru", None),
+        ("denoise_gru", None),
+        ("vad_out", None),
+        ("gains_out", None),
+        ("vad_out", 2),
+        ("gains_out", 21),
+    ],
+)
+@pytest.mark.parametrize("dim", [REFERENCE_DIM, EXTENDED_DIM])
+def test_wiring_validation_checks_every_slot_width(tmp_path, slot, head_width, dim):
+    """A layer one input column too wide, or a head of the wrong width, is rejected by name, in memory and on load."""
+    broken = init_weights(0, dim)
+    layer = getattr(broken, slot)
+    if head_width is None:  # one more input column; the bias and recurrent weights stay consistent
+        weights = np.hstack((layer.weights, np.full((len(layer.weights), 1), 0.1)))
+        layer = LayerParams(slot, weights, layer.recurrent, layer.bias)
+    else:
+        layer = LayerParams(slot, np.full((head_width, layer.in_dim), 0.1), None, np.zeros(head_width))
+    setattr(broken, slot, layer)
+    with pytest.raises(ModelFormatError, match=slot):
+        broken.validate_wiring()
+    path = tmp_path / "broken.rnxm"
+    save_model(broken, path)
+    with pytest.raises(ModelFormatError, match=slot):
+        load_model(path)
 
 
 def _code_offset(model, layer_name, field):

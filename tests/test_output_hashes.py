@@ -13,6 +13,7 @@ KEYS = {
     "stream", "stream_periods", "stream_pitch_strengths", "stream_masks_and_vads", "buffer_4s",
     "analyze_signal", "clean_energies", "model_rnxm", "mix_rnxf", "held.wav",
     "backward_tbptt_float32", "backward_tbptt_float64", "train_6_steps",
+    "mix_reference_rnxf", "backward_tbptt_reference_float32", "train_reference_2_steps",
 }
 # Every hash of the one-second input below, and the numpy build and SIMD
 # targets they were recorded under: the bits depend on those too. A change

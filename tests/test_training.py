@@ -202,6 +202,31 @@ def tiny_batch(rng, b=2, t=7, dim=REFERENCE_DIM):
     return feats, gains, vads
 
 
+@pytest.mark.parametrize(
+    "gains_shape, vads_shape",
+    [
+        ((2, 5, 1), (2, 5)),  # one gain per frame: broadcast over the 22 bands
+        ((2, 5, 22), (2, 1)),  # one VAD per sequence: broadcast over time
+        ((1, 5, 22), (2, 5)),  # gains for one sequence, features for two
+        ((2, 5, 22), (1, 5)),
+        ((5, 2, 22), (5, 2)),  # time-major targets
+        ((2, 5, 22), (2, 5, 1)),
+        ((2, 5, 21), (2, 5)),
+    ],
+)
+def test_mis_shaped_targets_are_rejected(gains_shape, vads_shape):
+    """Targets must be gains (B, T, 22) and VADs (B, T) for (B, T, F) features; nothing is broadcast."""
+    rng = np.random.default_rng(331)
+    model = init_weights(3, EXTENDED_DIM)
+    feats = rng.normal(size=(2, 5, EXTENDED_DIM))
+    gains = rng.uniform(0.0, 1.0, size=gains_shape)
+    vads = rng.integers(0, 2, size=vads_shape).astype(np.float64)
+    with pytest.raises(ValueError, match="targets"):
+        sequence_loss(model, feats, gains, vads)
+    with pytest.raises(ValueError, match="targets"):
+        backward_tbptt(model, feats, gains, vads)
+
+
 def test_backward_loss_matches_sequence_loss():
     rng = np.random.default_rng(313)
     model = init_weights(2, REFERENCE_DIM)
@@ -295,13 +320,13 @@ def test_training_forward_equals_network_block(dim):
     fw = training._forward(model, feats)
     for i in range(3):
         masks, vads, _ = network_forward(model, feats[i], HiddenState.zeros(model))
-        np.testing.assert_allclose(fw.mask[:, i], masks, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fw.vad[:, i], vads, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fw["gains_out"].out[:, i], masks, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fw["vad_out"].out[:, i, 0], vads, rtol=0, atol=1e-12)
         block = neural.forward(model, feats[i], HiddenState.zeros(model))
         for name in ("vad_gru", "noise_gru", "denoise_gru"):
             for part in ("x", "h", "zr", "c"):
-                got = getattr(getattr(fw, name), part)[:, i]
-                want = getattr(getattr(block, name), part)
+                got = getattr(fw[name], part)[:, i]
+                want = getattr(block[name], part)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{name}.{part}")
 
 
@@ -333,7 +358,7 @@ def test_saturated_gates_raise_no_warning(dtype):
     assert np.isfinite(value)
     for key, g in grads.items():
         assert np.all(np.isfinite(g)), key
-    for cache in (fw.vad_gru, fw.noise_gru, fw.denoise_gru):
+    for cache in (fw["vad_gru"], fw["noise_gru"], fw["denoise_gru"]):
         assert cache.zr.dtype == dtype
         assert np.all((cache.zr >= 0.0) & (cache.zr <= 1.0))
         # saturated both ways: some gates are exactly 0, others exactly 1
@@ -367,8 +392,8 @@ def test_scan_gates_match_expit_within_4_ulp():
             layer.recurrent *= 4.0  # z/r pre-activations reach about +-20
     training._set_precision(model, np.float32)
     fw = training._forward(model, rng.normal(size=(4, 50, EXTENDED_DIM)).astype(np.float32))
-    for layer, cache in ((model.vad_gru, fw.vad_gru), (model.noise_gru, fw.noise_gru),
-                         (model.denoise_gru, fw.denoise_gru)):
+    for layer, cache in ((model.vad_gru, fw["vad_gru"]), (model.noise_gru, fw["noise_gru"]),
+                         (model.denoise_gru, fw["denoise_gru"])):
         u = layer.out_dim
         # the scan's own products, un-negated: negation is exact in every step
         gx = neural.rows_times(cache.x, layer.weights.T) + layer.bias

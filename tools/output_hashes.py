@@ -34,6 +34,7 @@ Offline, as in perfbench's offline workload:
   mix_rnxf                the bytes of the .rnxf file that build_dataset
                           writes over clean/*.wav and noise/*.wav
                           (MixConfig(seed=11), extended, threads=1)
+  mix_reference_rnxf      the same in reference mode
   <name>.wav              the bytes of the file denoise_file writes for
                           heldout/<name>.wav with init_weights(7, 42)
 Training:
@@ -44,12 +45,17 @@ Training:
                           set to the -1 sentinel, VADs 0/1): every
                           gradient in sorted name order, then the loss
                           as one float64
+  backward_tbptt_reference_float32
+                          the same in float32 on init_weights(5, 42) and
+                          the first 42 feature columns of that batch
   train_6_steps           train(TrainConfig(epochs=1, steps_per_epoch=6,
                           seed=5, sequence_len=min(500, frames)),
                           "extended") on the mix_rnxf file: every
                           parameter of the trained model in sorted name
                           order, then the per-step losses as one
                           float64 array
+  train_reference_2_steps the same with steps_per_epoch=2, "reference",
+                          on the mix_reference_rnxf file
 
 stream, stream_periods, stream_pitch_strengths, stream_masks_and_vads,
 buffer_4s, mix_rnxf, the WAVs and train_6_steps use the byte layouts of
@@ -137,9 +143,11 @@ def offline_hashes(rnx, inputs: Path, work: Path) -> dict:
     noise = sorted((inputs / "noise").glob("*.wav"))
     rnxm = work / "model.rnxm"
     neural.save_model(neural.init_weights(7, 45), rnxm)
-    rnxf = work / "mix.rnxf"
-    dataset.build_dataset(clean, noise, dataset.MixConfig(seed=11), "extended", rnxf, threads=1)
-    out = {"model_rnxm": digest(rnxm.read_bytes()), "mix_rnxf": digest(rnxf.read_bytes())}
+    out = {"model_rnxm": digest(rnxm.read_bytes())}
+    for mode, key in (("extended", "mix_rnxf"), ("reference", "mix_reference_rnxf")):
+        rnxf = work / f"mix_{mode}.rnxf"
+        dataset.build_dataset(clean, noise, dataset.MixConfig(seed=11), mode, rnxf, threads=1)
+        out[key] = digest(rnxf.read_bytes())
     model = neural.init_weights(7, 42)
     for path in sorted((inputs / "heldout").glob("*.wav")):
         target = work / path.name
@@ -148,7 +156,7 @@ def offline_hashes(rnx, inputs: Path, work: Path) -> dict:
     return out
 
 
-def training_hashes(rnx, rnxf: Path) -> dict:
+def training_hashes(rnx, work: Path) -> dict:
     neural, training, dataset = rnx["neural"], rnx["training"], rnx["dataset"]
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(4, 60, 45))
@@ -156,25 +164,30 @@ def training_hashes(rnx, rnxf: Path) -> dict:
     gains[..., 3] = -1.0
     vads = (rng.uniform(size=(4, 60)) < 0.5).astype(np.float64)
     out = {}
-    for dtype in (np.float32, np.float64):
-        model = neural.init_weights(5, 45)
+    runs = (
+        ("backward_tbptt_float32", 45, np.float32),
+        ("backward_tbptt_float64", 45, np.float64),
+        ("backward_tbptt_reference_float32", 42, np.float32),
+    )
+    for key, dim, dtype in runs:
+        model = neural.init_weights(5, dim)
         for layer in model.layers():  # as train runs it: every tensor at this precision
             for attr in ("weights", "recurrent", "bias"):
                 if getattr(layer, attr) is not None:
                     setattr(layer, attr, getattr(layer, attr).astype(dtype))
         grads, loss = training.backward_tbptt(
-            model, feats.astype(dtype), gains.astype(dtype), vads.astype(dtype)
+            model, feats[..., :dim].astype(dtype), gains.astype(dtype), vads.astype(dtype)
         )
-        key = f"backward_tbptt_{np.dtype(dtype).name}"
         out[key] = digest(*(grads[name] for name in sorted(grads)), np.float64(loss))
-    data = dataset.load_feature_file(rnxf)
-    losses = []
-    cfg = training.TrainConfig(
-        epochs=1, steps_per_epoch=6, seed=5, sequence_len=min(training.TrainConfig().sequence_len, len(data))
-    )
-    model = training.train(data, cfg, "extended", on_step=lambda epoch, step, loss: losses.append(loss))
-    params = model.parameters()
-    out["train_6_steps"] = digest(*(params[name] for name in sorted(params)), np.array(losses, dtype=np.float64))
+    for key, mode, steps in (("train_6_steps", "extended", 6), ("train_reference_2_steps", "reference", 2)):
+        data = dataset.load_feature_file(work / f"mix_{mode}.rnxf")
+        losses = []
+        cfg = training.TrainConfig(
+            epochs=1, steps_per_epoch=steps, seed=5, sequence_len=min(training.TrainConfig().sequence_len, len(data))
+        )
+        model = training.train(data, cfg, mode, on_step=lambda epoch, step, loss: losses.append(loss))
+        params = model.parameters()
+        out[key] = digest(*(params[name] for name in sorted(params)), np.array(losses, dtype=np.float64))
     return out
 
 
@@ -186,7 +199,7 @@ def output_hashes(inputs, src=ROOT / "src") -> dict:
     out = {**stream_hashes(rnx, x), **buffer_hashes(rnx, x)}
     with tempfile.TemporaryDirectory() as work:
         out.update(offline_hashes(rnx, inputs, Path(work)))
-        out.update(training_hashes(rnx, Path(work) / "mix.rnxf"))
+        out.update(training_hashes(rnx, Path(work)))
     return out
 
 
