@@ -113,8 +113,11 @@ def load_audio(path, format: str | None = None) -> AudioBuffer:
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
-    """Clip to the storable range and round to nearest int16 code."""
-    clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, PCM_MAX)
+    """Clip to the storable range and round to nearest int16 code; AudioFormatError for a non-finite sample."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if not np.isfinite(samples).all():
+        raise AudioFormatError("non-finite samples cannot be stored as PCM-16")
+    clipped = np.clip(samples, -1.0, PCM_MAX)
     return np.rint(clipped * PCM_SCALE).astype("<i2")
 
 
@@ -123,7 +126,8 @@ def store_audio(buffer: AudioBuffer, path, format: str | None = None) -> None:
 
     Samples outside [-1, PCM_MAX] are clipped; quantization rounds to the
     nearest code, so a store/load round trip moves no sample by more than
-    one code step (1/32768).
+    one code step (1/32768). A NaN or infinite sample raises
+    AudioFormatError before the path is opened.
     """
     fmt = format if format is not None else _format_from_path(path)
     pcm = quantize_pcm16(buffer.samples)

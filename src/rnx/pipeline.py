@@ -8,16 +8,30 @@ mask, and the gains are interpolated and applied before overlap-add
 synthesis. Algorithmic latency is exactly one hop: the samples returned
 for hop k reconstruct hop k-1.
 
-Both paths render through one body over a block of analysed frames: the
-network rows, the comb filter, the gains and the synthesis, each once per
-block along a leading frame axis, with only the GRU recurrence frame by
-frame. process_hop runs it on a block of one frame, the extractor's row
-for one hop of a live stream. denoise_buffer pads a stored buffer to
-whole hops, adds one zero-fed flush hop and drops the first (silent
-warm-up) output block, so output length equals input length with the
-delay compensated; it runs the body once per analysis_blocks block of up
-to features.ANALYSIS_CHUNK frames. Its output is bitwise equal to a
-process_hop loop.
+Both paths render a block of analysed frames in two halves, each once
+per block along a leading frame axis, with only the GRU recurrence frame
+by frame. _prepare builds the network rows and applies the comb filter;
+_finish runs the network, the gains and the synthesis. process_hop runs
+both halves in its own process on a block of one frame, the extractor's
+row for one hop of a live stream; it never uses the worker below.
+denoise_buffer pads a stored buffer to whole hops, adds one zero-fed
+flush hop and drops the first (silent warm-up) output block, so output
+length equals input length with the delay compensated; it renders each
+analysis_blocks block of up to features.ANALYSIS_CHUNK frames. Its
+output is bitwise equal to a process_hop loop.
+
+denoise_buffer runs on two cores. The analysis side (analysis_blocks,
+then _prepare) runs in this process's worker (rnx.worker): one child
+process, forked at the first denoise_buffer call and reused by later
+calls until this process exits. It sends each block's network rows and
+filtered spectrum through a pipe, and the calling process keeps the
+mask hook, the network, the gains and the synthesis, working on one
+block while the worker analyses the next. The worker runs the code as
+it was when forked, so a monkeypatch made after the first call does not
+reach it. Where no worker can be started (no "fork" start method, or a
+daemonic caller such as a multiprocessing.Pool worker), the same block
+generator runs in the calling process. DenoiseStats.mean_hop_ms is the
+calling process's wall time per hop.
 
 Neither path limits the output to full scale. The Gibbs overshoot of the
 band-limited output can exceed the input's peak: one second of a +/-1
@@ -34,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rnx import bands, dsp
+from rnx import bands, dsp, worker
 from rnx.audio_io import AudioBuffer, load_audio, store_audio
 from rnx.features import FeatureExtractor, analysis_blocks, feature_rows
 from rnx.neural import HiddenState, NetworkModel, network_forward
@@ -63,8 +77,8 @@ class DenoiseStats:
     frames: int
     mean_vad: float
     mean_gain: float
-    # run time of all blocks, flush hop included, divided by frames + 1:
-    # a throughput figure, not the latency of one streamed hop
+    # the caller's wall time for all blocks, flush hop included, divided by
+    # frames + 1: a throughput figure, not the latency of one streamed hop
     mean_hop_ms: float
 
 
@@ -112,15 +126,34 @@ def process_hop(
     mask = np.ones((1, bands.NUM_BANDS)) if mask_override is None else mask_override[None]
     vad = np.zeros(1)
     net = [0] if mask_override is None and not bypass_mask else []
-    out, state.hidden, state.carry = _render(
-        state.model, analysis, mask, vad, net, state.hidden, state.carry, bypass_pitch
-    )
+    rows, spectrum = _prepare(analysis, state.model.feature_dim if net else None, state.model.stats, bypass_pitch)
+    out, state.hidden, state.carry = _finish(state.model, rows, spectrum, mask, vad, net, state.hidden, state.carry)
     period, strength = int(analysis.period[0]), float(analysis.pitch_strength[0])
     return HopResult(out[0], float(vad[0]), mask[0], period, strength)
 
 
-def _render(model, block, mask, vad, net, hidden, carry, bypass_pitch):
-    """Denoise a block of analysed frames: network, comb filter, gains and synthesis.
+def _prepare(block, feature_dim, stats, bypass_pitch):
+    """The analysis half of rendering a block of analysed frames: its network rows and filtered spectrum.
+
+    The rows are feature_rows at width feature_dim (None when no row runs
+    the network); the spectrum is the block's after the comb filter,
+    unless bypass_pitch.
+    """
+    rows = None if feature_dim is None else feature_rows(block.features, block.extended_raw, feature_dim, stats)
+    spectrum = block.spectrum
+    if not bypass_pitch:
+        spectrum = comb_filter(spectrum, block.pitch_spectrum, block.band_corr)
+    return rows, spectrum
+
+
+def _prepared_blocks(signal, feature_dim, stats, bypass_pitch):
+    """_prepare's (rows, spectrum) for each analysis_blocks block of a framed signal."""
+    for block in analysis_blocks(signal):
+        yield _prepare(block, feature_dim, stats, bypass_pitch)
+
+
+def _finish(model, rows, spectrum, mask, vad, net, hidden, carry):
+    """The rest of rendering a block: network, gains and synthesis.
 
     The network runs on the rows `net` of the block, writes their masks and
     VAD values into `mask` (k, 22) and `vad` (k,) and carries `hidden`
@@ -128,11 +161,7 @@ def _render(model, block, mask, vad, net, hidden, carry, bypass_pitch):
     block's (k, 480) output hops, the hidden state and the synthesis carry.
     """
     if net:
-        feats = feature_rows(block.features, block.extended_raw, model.feature_dim, model.stats)
-        mask[net], vad[net], hidden = network_forward(model, feats[net], hidden)
-    spectrum = block.spectrum
-    if not bypass_pitch:
-        spectrum = comb_filter(spectrum, block.pitch_spectrum, block.band_corr)
+        mask[net], vad[net], hidden = network_forward(model, rows[net], hidden)
     out, carry = dsp.synthesize_frame(bands.apply_gains(spectrum, bands.interpolate_gains(mask)), carry)
     return out, hidden, carry
 
@@ -150,7 +179,9 @@ def denoise_buffer(
     mask_hook, if given, is called with the hop index (including the final
     flush hop), once per hop and in order, and must return a 22-value mask
     to inject, or None to fall back to the normal path for that hop.
-    `dump`, if a list, collects one (vad, mask) pair per input hop.
+    `dump`, if a list, collects one (vad, mask) pair per input hop. The
+    analysis half runs in this process's worker where there is one (see
+    the module docstring); mask_hook and the network run in the caller.
     Returns (AudioBuffer, DenoiseStats).
     """
     x = audio.samples
@@ -166,18 +197,20 @@ def denoise_buffer(
     masks, vads = np.ones((hops + 1, bands.NUM_BANDS)), np.zeros(hops + 1)
     start = 0
     t0 = time.perf_counter()
-    for block in analysis_blocks(signal):
-        rows = slice(start, start + len(block.period))
-        start = rows.stop
-        mask, vad = masks[rows], vads[rows]  # views: the block's writes land in masks and vads
-        net = []  # the rows the network runs on; its state holds across the others
-        for i, k in enumerate(range(rows.start, rows.stop)):
-            override = mask_hook(k) if mask_hook is not None else None
-            if override is not None:
-                mask[i] = _checked_mask(override, "mask_hook's mask")
-            elif not bypass_mask:
-                net.append(i)
-        out[rows], hidden, carry = _render(model, block, mask, vad, net, hidden, carry, bypass_pitch)
+    feature_dim = None if bypass_mask else model.feature_dim
+    with worker.stream(_prepared_blocks, signal, feature_dim, model.stats, bypass_pitch) as prepared:
+        for feats, spectrum in prepared:
+            rows = slice(start, start + len(spectrum))
+            start = rows.stop
+            mask, vad = masks[rows], vads[rows]  # views: the block's writes land in masks and vads
+            net = []  # the rows the network runs on; its state holds across the others
+            for i, k in enumerate(range(rows.start, rows.stop)):
+                override = mask_hook(k) if mask_hook is not None else None
+                if override is not None:
+                    mask[i] = _checked_mask(override, "mask_hook's mask")
+                elif not bypass_mask:
+                    net.append(i)
+            out[rows], hidden, carry = _finish(model, feats, spectrum, mask, vad, net, hidden, carry)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     vads, masks = vads[:hops], masks[:hops]  # the flush hop's values are not reported

@@ -56,6 +56,20 @@ def test_store_clips_out_of_range():
     assert q.tolist() == [32767, -32768, 32767]
 
 
+@pytest.mark.parametrize("suffix", [".wav", ".raw"])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_store_rejects_non_finite_samples_before_opening(tmp_path, suffix, bad_value):
+    path = tmp_path / f"x{suffix}"
+    store_audio(AudioBuffer(np.full(100, 0.25)), path)
+    before = path.read_bytes()
+    with pytest.raises(AudioFormatError, match="non-finite"):
+        store_audio(AudioBuffer(np.array([0.1, bad_value, 0.2])), path)
+    assert path.read_bytes() == before
+    with pytest.raises(AudioFormatError, match="non-finite"):
+        store_audio(AudioBuffer(np.array([bad_value])), tmp_path / f"new{suffix}")
+    assert not (tmp_path / f"new{suffix}").exists()
+
+
 def test_quantization_rounds_to_nearest():
     q = quantize_pcm16(np.array([1.4 / 32768, -1.4 / 32768, 0.6 / 32768]))
     assert q.tolist() == [1, -1, 1]

@@ -14,6 +14,7 @@ KEYS = {
     "analyze_signal", "clean_energies", "model_rnxm", "mix_rnxf", "held.wav",
     "backward_tbptt_float32", "backward_tbptt_float64", "train_6_steps",
     "mix_reference_rnxf", "backward_tbptt_reference_float32", "train_reference_2_steps",
+    "stream_reference", "buffer_4s_bypass_pitch",
 }
 # Every hash of the one-second input below, and the numpy build and SIMD
 # targets they were recorded under: the bits depend on those too. A change

@@ -19,8 +19,11 @@ process_hop (len // 480 hops; a shorter tail is dropped):
   stream_pitch_strengths  the pitch strength of every hop (hops,)
   stream_masks_and_vads   every hop's mask as one (hops, 22) array, then
                           every hop's VAD as one (hops,) array
+  stream_reference        the output samples as for stream, through
+                          init_weights(7, 42)
 Whole buffers, on the first 4 s of stream.npy (all of it when shorter):
   buffer_4s               denoise_buffer's output samples, same model
+  buffer_4s_bypass_pitch  the same with bypass_pitch=True
   analyze_signal          analyze_signal(x, clean) with x those samples
                           with [0.5 s, 0.8 s) and [2.0 s, 2.1 s) set to
                           exact zeros and clean = x / 2: period (int64),
@@ -102,6 +105,10 @@ def import_rnx(src: Path):
 def stream_hashes(rnx, x: np.ndarray) -> dict:
     pipeline, neural = rnx["pipeline"], rnx["neural"]
     hops = len(x) // 480
+    reference = pipeline.create_state(neural.init_weights(7, 42))
+    reference_out = np.empty((hops, 480))
+    for k in range(hops):
+        reference_out[k] = pipeline.process_hop(reference, x[480 * k : 480 * (k + 1)]).samples
     state = pipeline.create_state(neural.init_weights(7, 45))
     out = np.empty((hops, 480))
     periods = np.empty(hops, dtype=np.int64)
@@ -113,6 +120,7 @@ def stream_hashes(rnx, x: np.ndarray) -> dict:
             res.samples, res.period, res.pitch_strength, res.mask, res.vad
         )
     return {
+        "stream_reference": digest(reference_out),
         "stream": digest(out),
         "stream_periods": digest(periods),
         "stream_pitch_strengths": digest(strengths),
@@ -123,13 +131,16 @@ def stream_hashes(rnx, x: np.ndarray) -> dict:
 def buffer_hashes(rnx, x: np.ndarray) -> dict:
     pipeline, neural, features = rnx["pipeline"], rnx["neural"], rnx["features"]
     x = x[: int(BUFFER_S * SAMPLE_RATE)]
-    out, _ = pipeline.denoise_buffer(neural.init_weights(7, 45), rnx["audio_io"].AudioBuffer(x))
+    model, audio = neural.init_weights(7, 45), rnx["audio_io"].AudioBuffer(x)
+    out, _ = pipeline.denoise_buffer(model, audio)
+    bypassed, _ = pipeline.denoise_buffer(model, audio, bypass_pitch=True)
     gapped = x.copy()
     for start, stop in SILENT_STRETCHES_S:
         gapped[int(start * SAMPLE_RATE) : int(stop * SAMPLE_RATE)] = 0.0
     a = features.analyze_signal(gapped, gapped / 2.0)
     return {
         "buffer_4s": digest(out.samples),
+        "buffer_4s_bypass_pitch": digest(bypassed.samples),
         "analyze_signal": digest(
             a.period.astype(np.int64), a.pitch_strength, a.features, a.extended_raw, a.band_energies, a.band_corr
         ),
