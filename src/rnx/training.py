@@ -24,18 +24,37 @@ loss gradients: each layer turns its output delta into parameter
 gradients and, by one product over its upstream input columns, into
 deltas for its sources, which a source sums in table-reverse order. It
 flushes its carry and its z/r gate deltas as the forward pass does.
+
+`train` runs each step on two cores. The batch's first ceil(B/2)
+sequences run in the calling process and the rest in this process's
+worker (`rnx.worker`), each through `backward_tbptt` unclipped. The
+caller weights each half's gradients and loss by its share of the rows
+(exactly 1/2 each for an even B), then clips the global norm and takes
+the Adam step. The worker receives the model and its half's rows with
+every step, about 2.5 MB at B = 32, T = 500. Both processes run
+OpenBLAS on one thread for the whole loop, `on_step` included, and the
+caller's count is restored when `train` returns or raises. Where the
+worker cannot run (no "fork" start method, a daemonic caller, or
+OpenBLAS's thread count out of reach), the two halves run one after the
+other in the caller with the same arithmetic, and give the same bits as
+the worker where OpenBLAS runs on one thread. B = 1 is one half, in the
+caller. `gradient_check` splits its instances between the two processes
+the same way.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from rnx import neural
+from rnx import neural, worker
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM, FeatureStats, compute_stats, feature_rows, mode_dim
 
 LOG_FLOOR = 1e-7
+# the global gradient norm each training step is clipped to
+CLIP_NORM = 5.0
 # below this the gamma-power branch treats the prediction as constant
 POWER_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
@@ -207,7 +226,7 @@ def backward_tbptt(
     vads: np.ndarray,
     gamma: float = 0.5,
     vad_weight: float = 0.5,
-    clip_norm: float | None = 5.0,
+    clip_norm: float | None = CLIP_NORM,
 ):
     """Exact gradients of the mean total loss over the given sequences.
 
@@ -257,6 +276,52 @@ def backward_tbptt(
     if clip_norm is not None:
         clip_gradients(grads, clip_norm)
     return grads, mean_loss
+
+
+def _result(fn, *args):
+    """A generator of the one item fn(*args), for `worker.stream`."""
+    yield fn(*args)
+
+
+def _in_halves(fn, first, second, spare_core: bool):
+    """(fn(*first), fn(*second)): the first computed here, the second in the worker when spare_core.
+
+    Without a spare core, the second runs here after the first.
+    """
+    if spare_core:
+        halves = worker.stream(_result, fn, *second)
+    else:
+        halves = contextlib.nullcontext(_result(fn, *second))
+    with halves as items:
+        mine = fn(*first)
+        (theirs,) = items
+    return mine, theirs
+
+
+def _unclipped(model, feats, gains, vads):
+    return backward_tbptt(model, feats, gains, vads, clip_norm=None)
+
+
+def batch_gradients(model, feats, gains, vads, spare_core: bool):
+    """backward_tbptt's unclipped (grads, mean loss) over (B, T, ...) sequences, in two halves.
+
+    The first ceil(B/2) sequences run in this process, the rest in the
+    worker when spare_core (see the module docstring). Each half's
+    gradients and loss are weighted by its share of the B rows.
+    """
+    b = len(feats)
+    cut = (b + 1) // 2
+    if cut == b:
+        return _unclipped(model, feats, gains, vads)
+    (grads, loss), (other, other_loss) = _in_halves(
+        _unclipped, (model, feats[:cut], gains[:cut], vads[:cut]),
+        (model, feats[cut:], gains[cut:], vads[cut:]), spare_core,
+    )
+    w_mine, w_theirs = cut / b, (b - cut) / b
+    for key, g in grads.items():
+        g *= w_mine
+        g += other[key] * w_theirs
+    return grads, loss * w_mine + other_loss * w_theirs
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +390,29 @@ def gradient_check(
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
-    checked = failures = 0
-    max_rel = max_abs = 0.0
+    drawn = []
     for _ in range(instances):
         model = neural.build_model(feature_dim, GRADCHECK_WIDTHS, seed=rng)
         feats = rng.normal(size=(1, sequence_len, feature_dim))
         gains = rng.uniform(0.0, 1.0, size=(1, sequence_len, neural.NUM_GAINS))
         gains[rng.random(gains.shape) < 0.1] = -1.0
         vads = rng.integers(0, 2, size=(1, sequence_len)).astype(np.float64)
+        drawn.append((model, feats, gains, vads))
+    cut = (instances + 1) // 2
+    with worker.one_blas_thread() as single:
+        parts = _in_halves(_check_instances, (drawn[:cut],), (drawn[cut:],), single and cut < instances)
+    checked = sum(part[0] for part in parts)
+    failures = sum(part[1] for part in parts)
+    return GradCheckResult(
+        instances, checked, failures, max(part[2] for part in parts), max(part[3] for part in parts)
+    )
 
+
+def _check_instances(drawn):
+    """(coordinates checked, failures, max relative error, max absolute error) over drawn instances."""
+    checked = failures = 0
+    max_rel = max_abs = 0.0
+    for model, feats, gains, vads in drawn:
         grads, _ = backward_tbptt(model, feats, gains, vads, clip_norm=None)
         params = model.parameters()
         for key, p in params.items():
@@ -358,7 +437,7 @@ def gradient_check(
                         max_rel = max(max_rel, rel)
                 if err > GRADCHECK_ABS_TOL and err > GRADCHECK_REL_TOL * denom:
                     failures += 1
-    return GradCheckResult(instances, checked, failures, max_rel, max_abs)
+    return checked, failures, max_rel, max_abs
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +499,15 @@ def train(
         adam = AdamState.init_like(params)
         draw = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
         offsets = np.arange(cfg.sequence_len)
-        for epoch in range(1, cfg.epochs + 1):
-            for step in range(1, cfg.steps_per_epoch + 1):
-                starts = draw.integers(0, n - cfg.sequence_len + 1, size=cfg.batch_sequences)
-                rows = starts[:, None] + offsets
-                grads, step_loss = backward_tbptt(model, x_all[rows], g_all[rows], v_all[rows])
-                adam_update(params, grads, adam, cfg.learning_rate)
-                if on_step is not None:
-                    on_step(epoch, step, step_loss)
+        with worker.one_blas_thread() as single:
+            for epoch in range(1, cfg.epochs + 1):
+                for step in range(1, cfg.steps_per_epoch + 1):
+                    starts = draw.integers(0, n - cfg.sequence_len + 1, size=cfg.batch_sequences)
+                    rows = starts[:, None] + offsets
+                    grads, step_loss = batch_gradients(model, x_all[rows], g_all[rows], v_all[rows], single)
+                    clip_gradients(grads, CLIP_NORM)
+                    adam_update(params, grads, adam, cfg.learning_rate)
+                    if on_step is not None:
+                        on_step(epoch, step, step_loss)
         _set_precision(model, np.float64)
     return model

@@ -1,8 +1,10 @@
-"""denoise_buffer's analysis worker: its error paths, its callers and its lifetime.
+"""The worker behind denoise_buffer and training: its error paths, its callers and its lifetime.
 
-Each case compares denoise_buffer bitwise with a fresh process_hop loop,
-and checks that at most one worker of the calling process is alive after
-it.
+Each denoise case compares denoise_buffer bitwise with a fresh
+process_hop loop, and each training case compares train or
+gradient_check through the worker with the same halves run in the
+caller. Every case checks that at most one worker of the calling
+process is alive after it.
 """
 
 import multiprocessing
@@ -18,11 +20,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rnx import worker
+from rnx import training, worker
 from rnx.audio_io import AudioBuffer
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM
+from rnx.neural import init_weights
 from rnx.pipeline import denoise_buffer
+from rnx.training import TrainConfig, batch_gradients, gradient_check, train
 from test_pipeline import CORPUS, MODELS, assert_buffer_equals_hop_loop, manual_hop_loop
+from test_training import synthetic_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FORK = multiprocessing.get_context("fork")
@@ -183,6 +188,136 @@ def test_daemonic_pool_worker_runs_in_process():
         ok, child_workers = pool.apply_async(_child_case, ("stationary_noise", REFERENCE_DIM)).get(timeout=60)
     assert ok and child_workers == []
     assert len(workers()) == 1
+
+
+# ---------------------------------------------------------------------------
+# training: each step's second half, and gradient_check's second half of
+# instances, run in the worker
+
+
+def train_run(monkeypatch, data, cfg, mode, usable=True):
+    """(parameters, per-step losses, worker.stream calls) of one train call."""
+    calls = []
+    stream = worker.stream
+
+    def counted(*args):
+        calls.append(args[0])
+        return stream(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(worker, "stream", counted)
+        if not usable:
+            patch.setattr(worker, "_usable", lambda: False)
+        losses = []
+        model = train(data, cfg, mode, on_step=lambda e, s, loss: losses.append(loss))
+    return model.parameters(), losses, len(calls)
+
+
+def assert_same_training(a, b):
+    assert a[1] == b[1]
+    assert a[0].keys() == b[0].keys()
+    for key in a[0]:
+        np.testing.assert_array_equal(a[0][key], b[0][key], err_msg=key)
+
+
+@pytest.mark.parametrize("batch", [32, 3, 1])
+def test_train_through_the_worker_equals_the_halves_in_process(monkeypatch, batch):
+    data = synthetic_dataset(np.random.default_rng(401), 120, EXTENDED_DIM)
+    cfg = TrainConfig(epochs=1, steps_per_epoch=3, sequence_len=16, batch_sequences=batch, seed=9)
+    both = train_run(monkeypatch, data, cfg, "extended")
+    here = train_run(monkeypatch, data, cfg, "extended", usable=False)
+    assert both[2] == here[2] == (3 if batch > 1 else 0)  # B = 1 is one half, with no call
+    assert_same_training(both, here)
+    assert all(np.isfinite(loss) for loss in both[1])
+    assert len(workers()) <= 1
+
+
+def test_halves_weight_by_rows_and_match_the_whole_batch():
+    rng = np.random.default_rng(409)
+    model = init_weights(3, REFERENCE_DIM)
+    feats = rng.normal(size=(3, 10, REFERENCE_DIM))
+    gains = rng.uniform(0.0, 1.0, size=(3, 10, 22))
+    vads = rng.integers(0, 2, size=(3, 10)).astype(np.float64)
+    whole, whole_loss = training.backward_tbptt(model, feats, gains, vads, clip_norm=None)
+    halves, loss = batch_gradients(model, feats, gains, vads, spare_core=True)
+    here, here_loss = batch_gradients(model, feats, gains, vads, spare_core=False)
+    assert loss == here_loss and abs(loss - whole_loss) < 1e-12
+    for key in whole:
+        np.testing.assert_array_equal(halves[key], here[key], err_msg=key)
+        np.testing.assert_allclose(halves[key], whole[key], rtol=1e-10, atol=1e-15, err_msg=key)
+    assert len(workers()) == 1
+
+
+def test_non_finite_half_in_the_worker_raises_in_the_caller_and_keeps_it(monkeypatch):
+    rng = np.random.default_rng(419)
+    model = init_weights(4, REFERENCE_DIM)
+    feats = rng.normal(size=(4, 8, REFERENCE_DIM))
+    gains = rng.uniform(0.0, 1.0, size=(4, 8, 22))
+    vads = np.ones((4, 8))
+    feats[3, 5, 7] = np.nan  # in the second half: computed in the worker
+    errors = []
+    for spare_core in (True, False):
+        with pytest.raises(RuntimeError) as caught:
+            batch_gradients(model, feats, gains, vads, spare_core)
+        errors.append((type(caught.value), caught.value.args))
+    assert errors[0] == errors[1] == (RuntimeError, ("non-finite training loss; aborting step",))
+    (before,) = workers()  # the worker finished the call: nothing to reset
+    data = synthetic_dataset(rng, 60, REFERENCE_DIM)
+    cfg = TrainConfig(epochs=1, steps_per_epoch=2, sequence_len=10, batch_sequences=4, seed=3)
+    assert_same_training(
+        train_run(monkeypatch, data, cfg, "reference"),
+        train_run(monkeypatch, data, cfg, "reference", usable=False),
+    )
+    assert workers() == [before]
+
+
+def test_gradient_check_through_the_worker_equals_it_in_process(monkeypatch):
+    both = gradient_check(seed=2, instances=2, feature_dim=REFERENCE_DIM, sequence_len=3)
+    monkeypatch.setattr(worker, "_usable", lambda: False)
+    here = gradient_check(seed=2, instances=2, feature_dim=REFERENCE_DIM, sequence_len=3)
+    assert both == here and both.passed and both.instances == 2
+    assert len(workers()) == 1
+
+
+def blas_threads():
+    calls = worker._openblas()
+    if calls is None:
+        pytest.skip("OpenBLAS's thread count is out of reach in this numpy build")
+    return calls
+
+
+def test_train_restores_the_callers_blas_threads(monkeypatch):
+    get, put = blas_threads()
+    before = get()
+    data = synthetic_dataset(np.random.default_rng(421), 60, REFERENCE_DIM)
+    cfg = TrainConfig(epochs=1, steps_per_epoch=2, sequence_len=10, batch_sequences=4, seed=3)
+    seen = []
+    try:
+        put(2)
+        train(data, cfg, "reference", on_step=lambda *step: seen.append(get()))
+        assert seen == [1, 1] and get() == 2
+
+        def failing_adam(*args):
+            seen.append(get())
+            raise ArithmeticError("step failed")
+
+        monkeypatch.setattr(training, "adam_update", failing_adam)
+        with pytest.raises(ArithmeticError):
+            train(data, cfg, "reference")
+        assert seen[-1] == 1 and get() == 2  # the step ran on one thread
+    finally:
+        put(before)
+    assert len(workers()) <= 1
+
+
+def test_without_blas_control_both_halves_run_in_the_caller(monkeypatch):
+    data = synthetic_dataset(np.random.default_rng(431), 60, REFERENCE_DIM)
+    cfg = TrainConfig(epochs=1, steps_per_epoch=2, sequence_len=10, batch_sequences=4, seed=3)
+    monkeypatch.setattr(worker, "_openblas", lambda: None)
+    here = train_run(monkeypatch, data, cfg, "reference")
+    assert here[2] == 0
+    assert all(np.isfinite(loss) for loss in here[1])
+    assert len(workers()) <= 1
 
 
 WORKER_SCRIPT = """
