@@ -35,10 +35,7 @@ def _cmd_mix(args) -> int:
         seed=args.seed,
         frame_target=args.frames,
     )
-    count = dataset.build_dataset(
-        _list_audio(args.clean), _list_audio(args.noise), cfg, args.mode, args.out,
-        threads=args.threads,
-    )
+    count = dataset.build_dataset(_list_audio(args.clean), _list_audio(args.noise), cfg, args.mode, args.out)
     print(f"wrote {count} frames to {args.out}")
     return 0
 
@@ -131,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=None, help="cap the frame count")
     p.add_argument("--snr-min", type=float, default=-5.0)
     p.add_argument("--snr-max", type=float, default=20.0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_mix)
 
     p = sub.add_parser("train", help="train a model on a feature file")

@@ -6,21 +6,30 @@ applied, and every 960-sample analysis window (480-sample hop) yields one
 training row: noisy-signal features, per-band energy-ratio targets from
 the clean/noisy spectra, and a clean-energy VAD label.
 
+`build_dataset` mixes on two cores: the calling process mixes the
+even-indexed utterances and this process's worker (`rnx.worker`) the
+odd-indexed ones, one after the other in job order. Each utterance draws
+from its own child of cfg.seed's SeedSequence, so the bytes do not depend
+on which process mixed it. Where no worker can start (no "fork" start
+method, or a daemonic caller), the same generator runs in the caller.
+
 Rows are stored in a flat little-endian feature file (.rnxf) of float32:
 magic "RNXF", version, feature_dim, target_dim (23), frame count, then
-frame_count rows of [features | 22 gains | vad].
+frame_count rows of [features | 22 gains | vad]. `write_feature_file`
+refuses, before it opens the path, any rows that `load_feature_file`
+would reject.
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from rnx import bands, dsp
+from rnx import bands, dsp, worker
 from rnx.audio_io import AudioBuffer, load_audio
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM, analyze_signal, feature_rows, mode_dim
 
@@ -130,13 +139,19 @@ def mix_and_label(
 
 
 def write_feature_file(path, feature_dim: int, features, gains, vad) -> None:
+    """Write rows as .rnxf; a ValueError for rows load_feature_file would reject leaves path untouched."""
+    if feature_dim not in (REFERENCE_DIM, EXTENDED_DIM):
+        raise ValueError(f"unexpected feature_dim {feature_dim}")
     features = np.asarray(features, dtype=np.float64)
     gains = np.asarray(gains, dtype=np.float64)
     vad = np.asarray(vad, dtype=np.float64)
     n = features.shape[0]
     if features.shape != (n, feature_dim) or gains.shape != (n, bands.NUM_BANDS) or vad.shape != (n,):
         raise ValueError("feature/target shapes inconsistent")
-    rows = np.hstack((features, gains, vad[:, None])).astype("<f4")
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, refused below
+        rows = np.hstack((features, gains, vad[:, None])).astype("<f4")
+    if not np.isfinite(rows).all():
+        raise ValueError("non-finite value in feature rows, as float32")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIIIQ", MAGIC, FORMAT_VERSION, feature_dim, TARGET_DIM, n))
         fh.write(rows.tobytes())
@@ -181,12 +196,21 @@ def _mix_job(args):
     return feats, gains, vads
 
 
-def build_dataset(clean_paths, noise_paths, cfg: MixConfig, mode, out_path, threads: int = 1) -> int:
+def _mix_jobs(jobs):
+    """_mix_job's result for each job in turn, for `worker.stream`."""
+    for job in jobs:
+        yield _mix_job(job)
+
+
+def build_dataset(clean_paths, noise_paths, cfg: MixConfig, mode, out_path, threads=None) -> int:
     """Mix every clean utterance against cycled noise tracks and write .rnxf.
 
-    Per-utterance RNG streams are spawned from cfg.seed, so the output is
-    byte-identical for any thread count. Returns the frame count written.
+    The odd-indexed utterances are mixed in this process's worker, the
+    rest here (see the module docstring); the bytes are the same either
+    way. The first utterance to fail, in corpus order, raises. Returns
+    the frame count written.
     """
+    # threads is accepted and ignored: perfbench still passes threads=1; it goes once perfbench stops
     clean_paths = list(clean_paths)
     noise_paths = list(noise_paths)
     if not clean_paths or not noise_paths:
@@ -196,15 +220,9 @@ def build_dataset(clean_paths, noise_paths, cfg: MixConfig, mode, out_path, thre
         (clean_paths[i], noise_paths[i % len(noise_paths)], children[i], cfg, mode)
         for i in range(len(clean_paths))
     ]
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    # the pool starts all its workers at once: no more than there are jobs
-    workers = min(threads, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mix_job, jobs))
-    else:
-        results = [_mix_job(job) for job in jobs]
+    with worker.stream(_mix_jobs, jobs[1::2]) if len(jobs) > 1 else contextlib.nullcontext(iter(())) as theirs:
+        results = [_mix_job(job) if i % 2 == 0 else next(theirs) for i, job in enumerate(jobs)]
+        next(theirs, None)  # the generator's end: a call that stops short stops the worker
 
     feats = np.concatenate([r[0] for r in results], axis=0)
     gains = np.concatenate([r[1] for r in results], axis=0)

@@ -48,7 +48,7 @@ def test_mix_frame_cap_and_threads(tmp_path, capsys):
     out = tmp_path / "cap.rnxf"
     code = main([
         "mix", "--clean", str(clean_dir), "--noise", str(noise_dir),
-        "--out", str(out), "--frames", "25", "--threads", "2", "--seed", "4",
+        "--out", str(out), "--frames", "25", "--seed", "4",
     ])
     assert code == 0
     assert len(load_feature_file(out)) == 25

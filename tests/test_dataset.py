@@ -1,13 +1,15 @@
 import math
+import multiprocessing
 import statistics
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 import synthetic as syn
-from rnx import bands, dataset, dsp
-from rnx.audio_io import AudioBuffer, store_audio
+from rnx import bands, dsp, worker
+from rnx.audio_io import AudioBuffer, AudioFormatError, store_audio
 from rnx.dataset import (
     FeatureFileError,
     MixConfig,
@@ -194,6 +196,28 @@ def test_feature_file_write_validation(tmp_path):
         write_feature_file(tmp_path / "x.rnxf", 42, np.zeros((3, 45)), np.zeros((3, 22)), np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "dim, column, value, match",
+    [(REFERENCE_DIM, "features", np.nan, "non-finite"), (EXTENDED_DIM, "gains", -1e39, "non-finite"), (44, None, 0.0, "feature_dim")],
+    ids=["nan", "beyond-float32", "dim-44"],
+)
+def test_feature_file_write_refuses_what_load_rejects(tmp_path, dim, column, value, match):
+    """A row load_feature_file would reject raises before the path is opened, so a file there survives."""
+    kept = tmp_path / "kept.rnxf"
+    write_feature_file(kept, REFERENCE_DIM, np.ones((2, REFERENCE_DIM)), np.zeros((2, 22)), np.ones(2))
+    before = kept.read_bytes()
+    rows = {"features": np.zeros((3, dim)), "gains": np.zeros((3, 22)), "vad": np.ones(3)}
+    if column is not None:
+        rows[column][1, 4] = value  # -1e39 is finite in float64 and -inf in float32
+    for path in (kept, tmp_path / "fresh.rnxf"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the float32 cast warns about nothing
+            with pytest.raises(ValueError, match=match):
+                write_feature_file(path, dim, rows["features"], rows["gains"], rows["vad"])
+    assert kept.read_bytes() == before
+    assert not (tmp_path / "fresh.rnxf").exists()
+
+
 def test_feature_file_corruption_errors(tmp_path):
     path = tmp_path / "c.rnxf"
     write_feature_file(path, 42, np.zeros((4, 42)), np.zeros((4, 22)), np.zeros(4))
@@ -256,45 +280,81 @@ def test_build_dataset_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_build_dataset_thread_count_invariance(tmp_path):
-    clean, noise = corpus(tmp_path)
-    out1 = tmp_path / "t1.rnxf"
-    out2 = tmp_path / "t2.rnxf"
-    build_dataset(clean, noise, MixConfig(seed=21), "reference", out1, threads=1)
-    build_dataset(clean, noise, MixConfig(seed=21), "reference", out2, threads=2)
-    assert out1.read_bytes() == out2.read_bytes()
+def workers():
+    return [p for p in multiprocessing.active_children() if p.name == worker.NAME]
 
 
-def test_build_dataset_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
-    started = []
+def mixed(monkeypatch, clean, noise, cfg, mode, out, usable=True):
+    """(frame count, file bytes, worker.stream calls) of one build_dataset call.
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+    usable=False runs the worker's half in this process (the fallback).
+    """
+    calls = []
+    stream = worker.stream
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def counted(*args):
+        calls.append(args[0])
+        return stream(*args)
 
-        def __enter__(self):
-            return self
+    with monkeypatch.context() as patch:
+        patch.setattr(worker, "stream", counted)
+        if not usable:
+            patch.setattr(worker, "_usable", lambda: False)
+        n = build_dataset(clean, noise, cfg, mode, out)
+    return n, out.read_bytes(), len(calls)
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+@pytest.mark.parametrize("mode", ["reference", "extended"])
+@pytest.mark.parametrize("n_clean", [1, 3, 4])
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "frame_target"])
+def test_build_dataset_worker_equals_in_process(tmp_path, monkeypatch, mode, n_clean, cut):
+    clean, noise = corpus(tmp_path, n_clean=n_clean)
+    cfg = MixConfig(seed=21, frame_target=49 * n_clean - 20 if cut else None)  # 49 frames an utterance
+    both = mixed(monkeypatch, clean, noise, cfg, mode, tmp_path / "both.rnxf")
+    here = mixed(monkeypatch, clean, noise, cfg, mode, tmp_path / "here.rnxf", usable=False)
+    assert both[0] == here[0] == (49 * n_clean - 20 if cut else 49 * n_clean)
+    assert both[1] == here[1]
+    assert both[2] == here[2] == (n_clean > 1)  # one utterance starts no worker
+    assert len(workers()) <= 1
+    if n_clean > 1:
+        assert len(workers()) == 1  # kept for the next call
 
-    clean, noise = corpus(tmp_path, n_clean=3)
-    monkeypatch.setattr(dataset, "ProcessPoolExecutor", RecordingPool)
-    build_dataset(clean, noise, MixConfig(seed=21), "reference", tmp_path / "a.rnxf", threads=64)
-    build_dataset(clean, noise, MixConfig(seed=21), "reference", tmp_path / "b.rnxf", threads=2)
-    build_dataset(clean[:1], noise, MixConfig(seed=21), "reference", tmp_path / "c.rnxf", threads=8)
-    assert started == [3, 2]  # one job runs in this process, with no pool
-    assert (tmp_path / "a.rnxf").read_bytes() == (tmp_path / "b.rnxf").read_bytes()
-    for threads in (0, -2):
-        with pytest.raises(ValueError, match="threads"):
-            build_dataset(clean, noise, MixConfig(seed=21), "reference", tmp_path / "d.rnxf", threads=threads)
-    assert started == [3, 2]
-    assert not (tmp_path / "d.rnxf").exists()
+
+def write_bad(path, kind):
+    if kind == "silent":
+        store_audio(AudioBuffer(np.zeros(24000)), path)
+    else:
+        path.write_bytes(b"RIFF\x10\x00\x00\x00WAVEfmt ")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{1: "silent"}, {1: "malformed"}, {2: "silent"}, {2: "malformed"}, {1: "silent", 2: "malformed"}, {2: "malformed", 3: "silent"}],
+    ids=["worker-silent", "worker-malformed", "caller-silent", "caller-malformed", "worker-first", "caller-first"],
+)
+def test_build_dataset_failure_raises_as_in_process(tmp_path, monkeypatch, bad):
+    """The first bad utterance in corpus order raises as the fallback's does; the next call works."""
+    clean, noise = corpus(tmp_path, n_clean=4)  # odd indices are mixed in the worker
+    good = [p.read_bytes() for p in clean]
+    for i, kind in bad.items():
+        write_bad(clean[i], kind)
+    errors = []
+    for usable in (True, False):
+        with pytest.raises(ValueError) as caught:
+            mixed(monkeypatch, clean, noise, MixConfig(seed=21), "reference", tmp_path / "x.rnxf", usable)
+        errors.append((type(caught.value), caught.value.args))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is {"silent": ValueError, "malformed": AudioFormatError}[bad[min(bad)]]
+    assert not (tmp_path / "x.rnxf").exists()
+    assert len(workers()) <= 1
+    for path, data in zip(clean, good):
+        path.write_bytes(data)
+    both = mixed(monkeypatch, clean, noise, MixConfig(seed=21), "reference", tmp_path / "both.rnxf")
+    here = mixed(monkeypatch, clean, noise, MixConfig(seed=21), "reference", tmp_path / "here.rnxf", usable=False)
+    assert both[:2] == here[:2] and both[0] == 4 * 49
+    (kept,) = workers()
+    assert mixed(monkeypatch, clean, noise, MixConfig(seed=21), "reference", tmp_path / "again.rnxf")[:2] == both[:2]
+    assert workers() == [kept]  # a call that runs to the end keeps the worker for the next
 
 
 def test_build_dataset_frame_target(tmp_path):

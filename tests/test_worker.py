@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from rnx import training, worker
-from rnx.audio_io import AudioBuffer
+from rnx.audio_io import AudioBuffer, store_audio
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM
 from rnx.neural import init_weights
 from rnx.pipeline import denoise_buffer
@@ -334,14 +334,37 @@ if sys.argv[1] == "wait":
 """
 
 
+MIX_SCRIPT = """
+import multiprocessing, sys
+from rnx import worker
+from rnx.cli import main
+code = main(["mix", "--clean", sys.argv[1], "--noise", sys.argv[2], "--out", sys.argv[3], "--mode", "reference"])
+print(*[p.pid for p in multiprocessing.active_children() if p.name == worker.NAME], flush=True)
+sys.exit(code)
+"""
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
-def test_no_worker_outlives_its_process():
-    """A worker exits with its process, at a normal exit and at SIGKILL."""
+def test_no_worker_outlives_its_process(tmp_path):
+    """A worker exits with its process: after denoise_buffer or rnx mix at a normal exit, and at SIGKILL."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     normal = subprocess.run(
         [sys.executable, "-c", WORKER_SCRIPT, "exit"], env=env, capture_output=True, text=True, timeout=60
     )
     assert normal.returncode == 0, normal.stderr
+    for part in ("clean", "noise"):
+        (tmp_path / part).mkdir()
+    for i in range(2):  # two utterances: the second is mixed in the worker
+        store_audio(AudioBuffer(CORPUS["speech"][:14400]), tmp_path / "clean" / f"c{i}.wav")
+    store_audio(AudioBuffer(CORPUS["stationary_noise"][:14400]), tmp_path / "noise" / "n0.wav")
+    mix = subprocess.run(
+        [sys.executable, "-c", MIX_SCRIPT, *(str(tmp_path / p) for p in ("clean", "noise", "out.rnxf"))],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert mix.returncode == 0, mix.stderr
+    assert mix.stdout.startswith("wrote ") and mix.stdout.count("\n") == 2
+    (mix_worker,) = mix.stdout.splitlines()[-1].split()
+    assert _await_exit([int(mix_worker)]) == []
     killed = subprocess.Popen([sys.executable, "-c", WORKER_SCRIPT, "wait"], env=env, stdout=subprocess.PIPE, text=True)
     try:
         # the script prints its worker's pid, then sleeps

@@ -36,7 +36,7 @@ Model file:
 Offline, as in perfbench's offline workload:
   mix_rnxf                the bytes of the .rnxf file that build_dataset
                           writes over clean/*.wav and noise/*.wav
-                          (MixConfig(seed=11), extended, threads=1)
+                          (MixConfig(seed=11), extended)
   mix_reference_rnxf      the same in reference mode
   <name>.wav              the bytes of the file denoise_file writes for
                           heldout/<name>.wav with init_weights(7, 42)
@@ -157,7 +157,7 @@ def offline_hashes(rnx, inputs: Path, work: Path) -> dict:
     out = {"model_rnxm": digest(rnxm.read_bytes())}
     for mode, key in (("extended", "mix_rnxf"), ("reference", "mix_reference_rnxf")):
         rnxf = work / f"mix_{mode}.rnxf"
-        dataset.build_dataset(clean, noise, dataset.MixConfig(seed=11), mode, rnxf, threads=1)
+        dataset.build_dataset(clean, noise, dataset.MixConfig(seed=11), mode, rnxf)
         out[key] = digest(rnxf.read_bytes())
     model = neural.init_weights(7, 42)
     for path in sorted((inputs / "heldout").glob("*.wav")):
