@@ -6,12 +6,11 @@ applied, and every 960-sample analysis window (480-sample hop) yields one
 training row: noisy-signal features, per-band energy-ratio targets from
 the clean/noisy spectra, and a clean-energy VAD label.
 
-`build_dataset` mixes on two cores: the calling process mixes the
-even-indexed utterances and this process's worker (`rnx.worker`) the
-odd-indexed ones, one after the other in job order. Each utterance draws
-from its own child of cfg.seed's SeedSequence, so the bytes do not depend
-on which process mixed it. Where no worker can start (no "fork" start
-method, or a daemonic caller), the same generator runs in the caller.
+`build_dataset` mixes on two cores through `worker.halves`: the calling
+process mixes the first ceil(n/2) utterances and this process's worker
+(`rnx.worker`) the rest. Each utterance draws from its own child of
+cfg.seed's SeedSequence and the rows are joined in corpus order, so the
+bytes do not depend on which process mixed it.
 
 Rows are stored in a flat little-endian feature file (.rnxf) of float32:
 magic "RNXF", version, feature_dim, target_dim (23), frame count, then
@@ -22,7 +21,6 @@ would reject.
 
 from __future__ import annotations
 
-import contextlib
 import struct
 from dataclasses import dataclass
 
@@ -187,28 +185,23 @@ def load_feature_file(path) -> FeatureDataset:
     )
 
 
-def _mix_job(args):
-    clean_path, noise_path, seed_seq, cfg, mode = args
-    clean = load_audio(clean_path)
-    noise = load_audio(noise_path)
-    rng = np.random.default_rng(seed_seq)
-    _, feats, gains, vads = mix_and_label(clean, noise, cfg, mode, rng)
-    return feats, gains, vads
-
-
 def _mix_jobs(jobs):
-    """_mix_job's result for each job in turn, for `worker.stream`."""
-    for job in jobs:
-        yield _mix_job(job)
+    """(features, gains, vads) of each (clean path, noise path, seed sequence, cfg, mode) job, in order."""
+    results = []
+    for clean_path, noise_path, seed_seq, cfg, mode in jobs:
+        clean, noise = load_audio(clean_path), load_audio(noise_path)
+        _, feats, gains, vads = mix_and_label(clean, noise, cfg, mode, np.random.default_rng(seed_seq))
+        results.append((feats, gains, vads))
+    return results
 
 
 def build_dataset(clean_paths, noise_paths, cfg: MixConfig, mode, out_path, threads=None) -> int:
     """Mix every clean utterance against cycled noise tracks and write .rnxf.
 
-    The odd-indexed utterances are mixed in this process's worker, the
-    rest here (see the module docstring); the bytes are the same either
-    way. The first utterance to fail, in corpus order, raises. Returns
-    the frame count written.
+    The second half of the corpus is mixed in this process's worker (see
+    the module docstring); the bytes are the same either way. The first
+    utterance to fail, in corpus order, raises. Returns the frame count
+    written.
     """
     # threads is accepted and ignored: perfbench still passes threads=1; it goes once perfbench stops
     clean_paths = list(clean_paths)
@@ -220,9 +213,7 @@ def build_dataset(clean_paths, noise_paths, cfg: MixConfig, mode, out_path, thre
         (clean_paths[i], noise_paths[i % len(noise_paths)], children[i], cfg, mode)
         for i in range(len(clean_paths))
     ]
-    with worker.stream(_mix_jobs, jobs[1::2]) if len(jobs) > 1 else contextlib.nullcontext(iter(())) as theirs:
-        results = [_mix_job(job) if i % 2 == 0 else next(theirs) for i, job in enumerate(jobs)]
-        next(theirs, None)  # the generator's end: a call that stops short stops the worker
+    results = [result for half in worker.halves(_mix_jobs, (jobs,)) for result in half]
 
     feats = np.concatenate([r[0] for r in results], axis=0)
     gains = np.concatenate([r[1] for r in results], axis=0)

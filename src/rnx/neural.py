@@ -402,6 +402,8 @@ def load_model(path) -> NetworkModel:
         raise ModelFormatError("bad magic")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
+    if feature_dim not in (REFERENCE_DIM, EXTENDED_DIM):
+        raise ModelFormatError(f"unexpected feature_dim {feature_dim}")
     means = r.array((3,))
     stds = r.array((3,))
     (layer_count,) = r.unpack("<I")

@@ -25,26 +25,20 @@ gradients and, by one product over its upstream input columns, into
 deltas for its sources, which a source sums in table-reverse order. It
 flushes its carry and its z/r gate deltas as the forward pass does.
 
-`train` runs each step on two cores. The batch's first ceil(B/2)
-sequences run in the calling process and the rest in this process's
-worker (`rnx.worker`), each through `backward_tbptt` unclipped. The
-caller weights each half's gradients and loss by its share of the rows
-(exactly 1/2 each for an even B), then clips the global norm and takes
-the Adam step. The worker receives the model and its half's rows with
-every step, about 2.5 MB at B = 32, T = 500. Both processes run
-OpenBLAS on one thread for the whole loop, `on_step` included, and the
-caller's count is restored when `train` returns or raises. Where the
-worker cannot run (no "fork" start method, a daemonic caller, or
-OpenBLAS's thread count out of reach), the two halves run one after the
-other in the caller with the same arithmetic, and give the same bits as
-the worker where OpenBLAS runs on one thread. B = 1 is one half, in the
-caller. `gradient_check` splits its instances between the two processes
+`train` runs each step on two cores through `worker.halves`: the batch's
+first ceil(B/2) sequences run `backward_tbptt` in the calling process and
+the rest in the worker, which receives the model and its half's rows with
+every step (about 2.5 MB at B = 32, T = 500). The caller weights each
+half's gradients and loss by its share of the rows (exactly 1/2 each for
+an even B), then clips the global norm once and takes the Adam step.
+Both processes run OpenBLAS on one thread for the whole loop, `on_step`
+included, and the caller's count is restored when `train` returns or
+raises. `gradient_check` splits its instances between the two processes
 the same way.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,7 +206,7 @@ def _dense_delta(act: str, d_out: np.ndarray, out: np.ndarray) -> np.ndarray:
 def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale all gradients in place to the global norm cap; returns the raw norm."""
     total = float(np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values())))
-    if max_norm is not None and total > max_norm > 0.0:
+    if total > max_norm > 0.0:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
@@ -226,14 +220,12 @@ def backward_tbptt(
     vads: np.ndarray,
     gamma: float = 0.5,
     vad_weight: float = 0.5,
-    clip_norm: float | None = CLIP_NORM,
 ):
-    """Exact gradients of the mean total loss over the given sequences.
+    """Exact, unclipped gradients of the mean total loss over the given sequences.
 
     feats is (B, T, F) already standardized, gains (B, T, 22) with -1
     sentinels, vads (B, T). Returns (grads keyed like model.parameters(),
-    mean loss). Gradients are clipped to the global norm unless clip_norm
-    is None. Hidden states start at zero for every sequence.
+    mean loss). Hidden states start at zero for every sequence.
     """
     if feats.ndim != 3 or feats.shape[2] != model.feature_dim:
         raise ValueError(f"features {feats.shape} are not (B, T, model feature_dim {model.feature_dim})")
@@ -273,55 +265,29 @@ def backward_tbptt(
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise RuntimeError(f"non-finite gradient in {key}; aborting step")
-    if clip_norm is not None:
-        clip_gradients(grads, clip_norm)
     return grads, mean_loss
 
 
-def _result(fn, *args):
-    """A generator of the one item fn(*args), for `worker.stream`."""
-    yield fn(*args)
+def _gradients(model, feats, gains, vads):
+    """backward_tbptt by a name that pickles: a tracer's wrapper around it (perfbench's) does not."""
+    return backward_tbptt(model, feats, gains, vads)
 
 
-def _in_halves(fn, first, second, spare_core: bool):
-    """(fn(*first), fn(*second)): the first computed here, the second in the worker when spare_core.
+def batch_gradients(model, feats, gains, vads):
+    """backward_tbptt's (grads, mean loss) over (B, T, ...) sequences, in `worker.halves`.
 
-    Without a spare core, the second runs here after the first.
-    """
-    if spare_core:
-        halves = worker.stream(_result, fn, *second)
-    else:
-        halves = contextlib.nullcontext(_result(fn, *second))
-    with halves as items:
-        mine = fn(*first)
-        (theirs,) = items
-    return mine, theirs
-
-
-def _unclipped(model, feats, gains, vads):
-    return backward_tbptt(model, feats, gains, vads, clip_norm=None)
-
-
-def batch_gradients(model, feats, gains, vads, spare_core: bool):
-    """backward_tbptt's unclipped (grads, mean loss) over (B, T, ...) sequences, in two halves.
-
-    The first ceil(B/2) sequences run in this process, the rest in the
-    worker when spare_core (see the module docstring). Each half's
-    gradients and loss are weighted by its share of the B rows.
+    Each half's gradients and loss are weighted by its share of the B rows.
     """
     b = len(feats)
     cut = (b + 1) // 2
-    if cut == b:
-        return _unclipped(model, feats, gains, vads)
-    (grads, loss), (other, other_loss) = _in_halves(
-        _unclipped, (model, feats[:cut], gains[:cut], vads[:cut]),
-        (model, feats[cut:], gains[cut:], vads[cut:]), spare_core,
-    )
-    w_mine, w_theirs = cut / b, (b - cut) / b
-    for key, g in grads.items():
-        g *= w_mine
-        g += other[key] * w_theirs
-    return grads, loss * w_mine + other_loss * w_theirs
+    (grads, loss), *rest = worker.halves(_gradients, (feats, gains, vads), model)
+    for other, other_loss in rest:  # the worker's half, when B > 1
+        w_mine, w_theirs = cut / b, (b - cut) / b
+        for key, g in grads.items():
+            g *= w_mine
+            g += other[key] * w_theirs
+        loss = loss * w_mine + other_loss * w_theirs
+    return grads, loss
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +364,8 @@ def gradient_check(
         gains[rng.random(gains.shape) < 0.1] = -1.0
         vads = rng.integers(0, 2, size=(1, sequence_len)).astype(np.float64)
         drawn.append((model, feats, gains, vads))
-    cut = (instances + 1) // 2
-    with worker.one_blas_thread() as single:
-        parts = _in_halves(_check_instances, (drawn[:cut],), (drawn[cut:],), single and cut < instances)
+    with worker.one_blas_thread():
+        parts = worker.halves(_check_instances, (drawn,))
     checked = sum(part[0] for part in parts)
     failures = sum(part[1] for part in parts)
     return GradCheckResult(
@@ -413,7 +378,7 @@ def _check_instances(drawn):
     checked = failures = 0
     max_rel = max_abs = 0.0
     for model, feats, gains, vads in drawn:
-        grads, _ = backward_tbptt(model, feats, gains, vads, clip_norm=None)
+        grads, _ = backward_tbptt(model, feats, gains, vads)
         params = model.parameters()
         for key, p in params.items():
             analytic = grads[key]
@@ -499,12 +464,12 @@ def train(
         adam = AdamState.init_like(params)
         draw = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
         offsets = np.arange(cfg.sequence_len)
-        with worker.one_blas_thread() as single:
+        with worker.one_blas_thread():
             for epoch in range(1, cfg.epochs + 1):
                 for step in range(1, cfg.steps_per_epoch + 1):
                     starts = draw.integers(0, n - cfg.sequence_len + 1, size=cfg.batch_sequences)
                     rows = starts[:, None] + offsets
-                    grads, step_loss = batch_gradients(model, x_all[rows], g_all[rows], v_all[rows], single)
+                    grads, step_loss = batch_gradients(model, x_all[rows], g_all[rows], v_all[rows])
                     clip_gradients(grads, CLIP_NORM)
                     adam_update(params, grads, adam, cfg.learning_rate)
                     if on_step is not None:

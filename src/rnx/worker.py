@@ -1,4 +1,4 @@
-"""One long-lived helper process per rnx process, so that a generator runs beside its caller.
+"""One long-lived helper process per rnx process, so that work runs beside its caller.
 
 `stream(fn, *args)` is a context manager that yields the items of the
 generator `fn(*args)`. The generator runs in this process's worker, a
@@ -9,6 +9,12 @@ worker resolves it by name in its own copy of the program, so it runs
 the code as it was when the worker was forked, and a monkeypatch made
 after that does not reach it. The items and the arguments cross the
 pipe as pickles.
+
+`halves(fn, items, *shared)` is the one way to split a job between the
+two cores: it cuts each sequence in `items` at ceil(n/2), runs `fn` on
+the first part here and on the rest in the worker, through one `stream`
+call, and returns both results in order. Training steps, the gradient
+check and the mixer use it.
 
 The worker's rules:
 - It exits when its pipe closes: at a normal exit of its process (which
@@ -34,11 +40,12 @@ The worker's rules:
   work; it reaches OpenBLAS's thread count through ctypes, since numpy
   has no API for it.
 
-Where the "fork" start method is missing, or in a daemonic process (a
-multiprocessing.Pool worker), which may not start children, `stream`
-yields `fn(*args)` itself and the generator runs in the caller.
+The worker runs only where all three hold: the "fork" start method
+exists, the caller is not daemonic (a multiprocessing.Pool worker may
+not start children), and OpenBLAS's thread count can be set. Elsewhere
+`stream` yields `fn(*args)` itself and the generator runs in the caller,
+after the caller's own half in `halves`; the results are the same bits.
 """
-
 from __future__ import annotations
 
 import contextlib
@@ -150,7 +157,11 @@ def _serve(conn, callers_end):
 
 
 def _usable() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        and _openblas() is not None
+    )
 
 
 def _start():
@@ -210,3 +221,26 @@ def stream(fn, *args):
                     _stop()
         finally:
             _holder = None
+
+
+def _result(fn, *args):
+    """A generator of the one item fn(*args), for `stream`."""
+    yield fn(*args)
+
+
+def halves(fn, items, *shared):
+    """fn(*shared, *first) computed here and fn(*shared, *rest) in the worker, as a tuple in that order.
+
+    Each sequence in items is cut at ceil(n/2), n being the first one's
+    length. Where no worker runs, the rest runs here after the first. One
+    item (n = 1) gives the one-tuple (fn(*shared, *items),) and calls no
+    worker.
+    """
+    n = len(items[0])
+    cut = (n + 1) // 2
+    if cut == n:
+        return (fn(*shared, *items),)
+    with stream(_result, fn, *shared, *(part[cut:] for part in items)) as theirs:
+        mine = fn(*shared, *(part[:cut] for part in items))
+        (rest,) = theirs
+    return mine, rest

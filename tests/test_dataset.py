@@ -329,12 +329,15 @@ def write_bad(path, kind):
 
 @pytest.mark.parametrize(
     "bad",
-    [{1: "silent"}, {1: "malformed"}, {2: "silent"}, {2: "malformed"}, {1: "silent", 2: "malformed"}, {2: "malformed", 3: "silent"}],
+    [{2: "silent"}, {2: "malformed"}, {1: "silent"}, {1: "malformed"}, {2: "silent", 3: "malformed"}, {1: "malformed", 2: "silent"}],
     ids=["worker-silent", "worker-malformed", "caller-silent", "caller-malformed", "worker-first", "caller-first"],
 )
 def test_build_dataset_failure_raises_as_in_process(tmp_path, monkeypatch, bad):
-    """The first bad utterance in corpus order raises as the fallback's does; the next call works."""
-    clean, noise = corpus(tmp_path, n_clean=4)  # odd indices are mixed in the worker
+    """The first bad utterance in corpus order raises as the fallback's does; the next call works.
+
+    worker-first: of two bad utterances in the worker's half, the first raises.
+    """
+    clean, noise = corpus(tmp_path, n_clean=4)  # the caller mixes indices 0 and 1, the worker 2 and 3
     good = [p.read_bytes() for p in clean]
     for i, kind in bad.items():
         write_bad(clean[i], kind)

@@ -46,7 +46,7 @@ def test_full_size_model_spot_check():
     gains[rng.random(gains.shape) < 0.1] = -1.0
     vads = rng.integers(0, 2, size=(1, 5)).astype(np.float64)
 
-    grads, _ = backward_tbptt(model, feats, gains, vads, clip_norm=None)
+    grads, _ = backward_tbptt(model, feats, gains, vads)
     params = model.parameters()
     step = 1e-4
     keys = sorted(params)

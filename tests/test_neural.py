@@ -331,6 +331,9 @@ def test_load_rejects_version_and_flag_mismatch(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ModelFormatError):
         load_model(path)
+    save_model(build_model(10, widths=(4, 3, 5, 6)), path)  # self-consistent, but no feature set is 10 wide
+    with pytest.raises(ModelFormatError, match="feature_dim"):
+        load_model(path)
 
 
 def test_load_rejects_nonfinite_parameters(tmp_path):

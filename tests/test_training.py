@@ -193,6 +193,13 @@ def test_clip_gradients_scales_to_cap():
     raw2 = clip_gradients(g2, 2.5)
     assert abs(raw2 - 0.5) < 1e-12
     np.testing.assert_array_equal(g2["a"], [0.3, 0.4])
+    # real backward_tbptt gradients, which come unclipped
+    rng = np.random.default_rng(349)
+    model = init_weights(8, REFERENCE_DIM)
+    grads, _ = backward_tbptt(model, *tiny_batch(rng))
+    assert clip_gradients(grads, 1e-4) > 1e-4
+    norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+    assert norm <= 1e-4 * (1 + 1e-9)
 
 
 def tiny_batch(rng, b=2, t=7, dim=REFERENCE_DIM):
@@ -240,9 +247,9 @@ def test_backward_batch_duplication_invariance():
     rng = np.random.default_rng(317)
     model = init_weights(4, REFERENCE_DIM)
     feats, gains, vads = tiny_batch(rng, b=2)
-    g1, l1 = backward_tbptt(model, feats, gains, vads, clip_norm=None)
+    g1, l1 = backward_tbptt(model, feats, gains, vads)
     dup = (np.tile(feats, (2, 1, 1)), np.tile(gains, (2, 1, 1)), np.tile(vads, (2, 1)))
-    g2, l2 = backward_tbptt(model, *dup, clip_norm=None)
+    g2, l2 = backward_tbptt(model, *dup)
     # the loss is a mean over frames, so duplicating the batch changes nothing
     assert abs(l1 - l2) < 1e-12
     for k in g1:
@@ -255,7 +262,7 @@ def test_backward_all_sentinels_and_zero_vad_weight_gives_zero_grads():
     feats = rng.normal(size=(1, 6, REFERENCE_DIM))
     gains = np.full((1, 6, 22), -1.0)
     vads = np.zeros((1, 6))
-    grads, value = backward_tbptt(model, feats, gains, vads, vad_weight=0.0, clip_norm=None)
+    grads, value = backward_tbptt(model, feats, gains, vads, vad_weight=0.0)
     assert value == 0.0
     for k, g in grads.items():
         assert np.all(g == 0.0), k
@@ -279,16 +286,6 @@ def test_backward_rejects_width_mismatch():
     feats, gains, vads = tiny_batch(rng, b=1, t=4)
     with pytest.raises(ValueError):  # one (T, F) sequence, not a (B, T, F) batch
         backward_tbptt(model, feats[0], gains[0], vads[0])
-
-
-def test_backward_clipping_caps_global_norm():
-    rng = np.random.default_rng(349)
-    model = init_weights(8, REFERENCE_DIM)
-    feats, gains, vads = tiny_batch(rng)
-    cap = 1e-4
-    grads, _ = backward_tbptt(model, feats, gains, vads, clip_norm=cap)
-    norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
-    assert norm <= cap * (1 + 1e-9)
 
 
 def test_forward_cache_agrees_with_streaming_forward():
@@ -354,7 +351,7 @@ def test_saturated_gates_raise_no_warning(dtype):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fw = training._forward(model, feats)
-        grads, value = backward_tbptt(model, feats, gains, vads, clip_norm=None)
+        grads, value = backward_tbptt(model, feats, gains, vads)
     assert np.isfinite(value)
     for key, g in grads.items():
         assert np.all(np.isfinite(g)), key
@@ -442,7 +439,7 @@ def run_recording_gates(dtype, monkeypatch):
         return gates
 
     monkeypatch.setattr(training, "_gru_gate_deltas", record)
-    grads, value = backward_tbptt(decaying_model(dtype), *decaying_batch(dtype), clip_norm=None)
+    grads, value = backward_tbptt(decaying_model(dtype), *decaying_batch(dtype))
     monkeypatch.undo()
     return grads, value, recorded
 

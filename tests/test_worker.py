@@ -1,9 +1,9 @@
-"""The worker behind denoise_buffer and training: its error paths, its callers and its lifetime.
+"""The worker behind denoise_buffer, training and mixing: its error paths, its callers and its lifetime.
 
 Each denoise case compares denoise_buffer bitwise with a fresh
 process_hop loop, and each training case compares train or
-gradient_check through the worker with the same halves run in the
-caller. Every case checks that at most one worker of the calling
+gradient_check through the worker with the same `worker.halves` run in
+the caller. Every case checks that at most one worker of the calling
 process is alive after it.
 """
 
@@ -22,10 +22,12 @@ import pytest
 
 from rnx import training, worker
 from rnx.audio_io import AudioBuffer, store_audio
+from rnx.dataset import MixConfig, build_dataset
 from rnx.features import EXTENDED_DIM, REFERENCE_DIM
 from rnx.neural import init_weights
 from rnx.pipeline import denoise_buffer
 from rnx.training import TrainConfig, batch_gradients, gradient_check, train
+from test_dataset import corpus
 from test_pipeline import CORPUS, MODELS, assert_buffer_equals_hop_loop, manual_hop_loop
 from test_training import synthetic_dataset
 
@@ -232,15 +234,17 @@ def test_train_through_the_worker_equals_the_halves_in_process(monkeypatch, batc
     assert len(workers()) <= 1
 
 
-def test_halves_weight_by_rows_and_match_the_whole_batch():
+def test_halves_weight_by_rows_and_match_the_whole_batch(monkeypatch):
     rng = np.random.default_rng(409)
     model = init_weights(3, REFERENCE_DIM)
     feats = rng.normal(size=(3, 10, REFERENCE_DIM))
     gains = rng.uniform(0.0, 1.0, size=(3, 10, 22))
     vads = rng.integers(0, 2, size=(3, 10)).astype(np.float64)
-    whole, whole_loss = training.backward_tbptt(model, feats, gains, vads, clip_norm=None)
-    halves, loss = batch_gradients(model, feats, gains, vads, spare_core=True)
-    here, here_loss = batch_gradients(model, feats, gains, vads, spare_core=False)
+    whole, whole_loss = training.backward_tbptt(model, feats, gains, vads)
+    halves, loss = batch_gradients(model, feats, gains, vads)
+    with monkeypatch.context() as patch:
+        patch.setattr(worker, "_usable", lambda: False)
+        here, here_loss = batch_gradients(model, feats, gains, vads)
     assert loss == here_loss and abs(loss - whole_loss) < 1e-12
     for key in whole:
         np.testing.assert_array_equal(halves[key], here[key], err_msg=key)
@@ -256,9 +260,11 @@ def test_non_finite_half_in_the_worker_raises_in_the_caller_and_keeps_it(monkeyp
     vads = np.ones((4, 8))
     feats[3, 5, 7] = np.nan  # in the second half: computed in the worker
     errors = []
-    for spare_core in (True, False):
-        with pytest.raises(RuntimeError) as caught:
-            batch_gradients(model, feats, gains, vads, spare_core)
+    for usable in (True, False):
+        with monkeypatch.context() as patch, pytest.raises(RuntimeError) as caught:
+            if not usable:
+                patch.setattr(worker, "_usable", lambda: False)
+            batch_gradients(model, feats, gains, vads)
         errors.append((type(caught.value), caught.value.args))
     assert errors[0] == errors[1] == (RuntimeError, ("non-finite training loss; aborting step",))
     (before,) = workers()  # the worker finished the call: nothing to reset
@@ -310,14 +316,23 @@ def test_train_restores_the_callers_blas_threads(monkeypatch):
     assert len(workers()) <= 1
 
 
-def test_without_blas_control_both_halves_run_in_the_caller(monkeypatch):
+def test_without_blas_control_both_halves_run_in_the_caller(monkeypatch, tmp_path):
+    """Where OpenBLAS's thread count is out of reach, no worker starts, and the outputs keep their bits."""
     data = synthetic_dataset(np.random.default_rng(431), 60, REFERENCE_DIM)
     cfg = TrainConfig(epochs=1, steps_per_epoch=2, sequence_len=10, batch_sequences=4, seed=3)
+    model, x = MODELS[EXTENDED_DIM], CORPUS["speech"]
+    clean, noise = corpus(tmp_path, n_clean=3)
+    denoised = denoise_buffer(model, AudioBuffer(x))[0].samples
+    build_dataset(clean, noise, MixConfig(seed=21), "extended", tmp_path / "both.rnxf")
+    assert len(workers()) == 1
+    worker._stop()  # so that a worker started below would show
     monkeypatch.setattr(worker, "_openblas", lambda: None)
     here = train_run(monkeypatch, data, cfg, "reference")
-    assert here[2] == 0
     assert all(np.isfinite(loss) for loss in here[1])
-    assert len(workers()) <= 1
+    np.testing.assert_array_equal(denoise_buffer(model, AudioBuffer(x))[0].samples, denoised)
+    build_dataset(clean, noise, MixConfig(seed=21), "extended", tmp_path / "here.rnxf")
+    assert (tmp_path / "here.rnxf").read_bytes() == (tmp_path / "both.rnxf").read_bytes()
+    assert workers() == []
 
 
 WORKER_SCRIPT = """

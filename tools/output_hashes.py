@@ -45,9 +45,10 @@ Training:
   backward_tbptt_float64  that precision, on a (4, 60, 45) batch drawn
                           from default_rng(0) (features normal, gains
                           uniform in [0, 1) with band 3 of every frame
-                          set to the -1 sentinel, VADs 0/1): every
-                          gradient in sorted name order, then the loss
-                          as one float64
+                          set to the -1 sentinel, VADs 0/1), clipped
+                          by clip_gradients to CLIP_NORM as train clips
+                          them: every gradient in sorted name order,
+                          then the loss as one float64
   backward_tbptt_reference_float32
                           the same in float32 on init_weights(5, 42) and
                           the first 42 feature columns of that batch
@@ -189,6 +190,7 @@ def training_hashes(rnx, work: Path) -> dict:
         grads, loss = training.backward_tbptt(
             model, feats[..., :dim].astype(dtype), gains.astype(dtype), vads.astype(dtype)
         )
+        training.clip_gradients(grads, training.CLIP_NORM)  # as train clips them
         out[key] = digest(*(grads[name] for name in sorted(grads)), np.float64(loss))
     for key, mode, steps in (("train_6_steps", "extended", 6), ("train_reference_2_steps", "reference", 2)):
         data = dataset.load_feature_file(work / f"mix_{mode}.rnxf")
