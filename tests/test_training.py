@@ -193,13 +193,6 @@ def test_clip_gradients_scales_to_cap():
     raw2 = clip_gradients(g2, 2.5)
     assert abs(raw2 - 0.5) < 1e-12
     np.testing.assert_array_equal(g2["a"], [0.3, 0.4])
-    # real backward_tbptt gradients, which come unclipped
-    rng = np.random.default_rng(349)
-    model = init_weights(8, REFERENCE_DIM)
-    grads, _ = backward_tbptt(model, *tiny_batch(rng))
-    assert clip_gradients(grads, 1e-4) > 1e-4
-    norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
-    assert norm <= 1e-4 * (1 + 1e-9)
 
 
 def tiny_batch(rng, b=2, t=7, dim=REFERENCE_DIM):
@@ -286,6 +279,18 @@ def test_backward_rejects_width_mismatch():
     feats, gains, vads = tiny_batch(rng, b=1, t=4)
     with pytest.raises(ValueError):  # one (T, F) sequence, not a (B, T, F) batch
         backward_tbptt(model, feats[0], gains[0], vads[0])
+
+
+def test_backward_clipping_caps_global_norm():
+    # backward_tbptt returns unclipped gradients; clip_gradients caps them
+    rng = np.random.default_rng(349)
+    model = init_weights(8, REFERENCE_DIM)
+    feats, gains, vads = tiny_batch(rng)
+    cap = 1e-4
+    grads, _ = backward_tbptt(model, feats, gains, vads)
+    assert clip_gradients(grads, cap) > cap
+    norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+    assert norm <= cap * (1 + 1e-9)
 
 
 def test_forward_cache_agrees_with_streaming_forward():
